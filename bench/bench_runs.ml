@@ -42,13 +42,25 @@ let find_mark marks suffix =
   | Some (_, c) -> c
   | None -> failwith ("mark not found: " ^ suffix)
 
+(* The Table 1 boundaries of one protected call (setup, call, body,
+   return, restore, done); fails loudly when a mark is missing. *)
+let call_bounds marks =
+  match Pbackend.phase_bounds marks with
+  | [ Some s; Some c; Some b; Some r; Some rs; Some d ] -> (s, c, b, r, rs, d)
+  | _ -> failwith "protected call left an incomplete set of phase marks"
+
+(* The Table 1 total of one call: every phase but the extension body. *)
+let call_overhead marks =
+  let setup, _, body, return, _, done_ = call_bounds marks in
+  done_ - setup - (return - body)
+
 (* One protected null call, returning the mark trace. *)
 let protected_null_call_marks app prepare =
-  let cpu = Kernel.cpu (User_ext.kernel app) in
+  let cpu = Kernel.cpu (Pbackend.kernel app) in
   Cpu.clear_marks cpu;
-  (match User_ext.call app ~prepare ~arg:1 with
+  (match Pbackend.call app ~prepare ~arg:1 with
   | Ok _ -> ()
-  | Error e -> Fmt.failwith "protected call failed: %a" User_ext.pp_call_error e);
+  | Error e -> Fmt.failwith "protected call failed: %a" Pbackend.pp_call_error e);
   marks_of cpu
 
 type t1 = {
@@ -64,16 +76,12 @@ let t1_total r = r.t1_setup + r.t1_calling + r.t1_returning + r.t1_restoring
 (* Measured inter-domain rows (Table 1 column "Inter"). *)
 let measure_inter () =
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
-  let marks = protected_null_call_marks app prepare in
-  let setup = find_mark marks ".setup" in
-  let call = find_mark marks ".call" in
-  let body = find_mark marks ".body" in
-  let return = find_mark marks ".return" in
-  let restore = find_mark marks ".restore" in
-  let done_ = find_mark marks "rt.done" in
+  let setup, call, body, return, restore, done_ =
+    call_bounds (protected_null_call_marks app prepare)
+  in
   {
     t1_setup = call - setup;
     t1_calling = body - call;
@@ -85,15 +93,15 @@ let measure_inter () =
 (* Measured intra-domain call (same protection domain). *)
 let measure_intra () =
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
+  let ext = Pbackend.load app Ulib.null_image in
   (* plain local call to the loaded function: no stubs involved *)
-  let fn = User_ext.dlsym_data ext "null_fn" in
+  let fn = Pbackend.dlsym_data ext "null_fn" in
   let probe () =
-    let cpu = Kernel.cpu (User_ext.kernel app) in
+    let cpu = Kernel.cpu (Pbackend.kernel app) in
     Cpu.clear_marks cpu;
-    (match User_ext.call_unprotected app ~fn ~arg:1 with
+    (match Pbackend.call_unprotected app ~fn ~arg:1 with
     | Ok _ -> ()
-    | Error e -> Fmt.failwith "intra call failed: %a" User_ext.pp_call_error e);
+    | Error e -> Fmt.failwith "intra call failed: %a" Pbackend.pp_call_error e);
     marks_of cpu
   in
   ignore (probe ());
@@ -108,16 +116,11 @@ let measure_intra () =
 let sample_t1_totals ~n =
   let h = Obs.Histogram.create () in
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
   for _ = 1 to n do
-    let marks = protected_null_call_marks app prepare in
-    let setup = find_mark marks ".setup" in
-    let body = find_mark marks ".body" in
-    let return = find_mark marks ".return" in
-    let done_ = find_mark marks "rt.done" in
-    Obs.Histogram.observe h (done_ - setup - (return - body))
+    Obs.Histogram.observe h (call_overhead (protected_null_call_marks app prepare))
   done;
   h
 
@@ -221,24 +224,24 @@ let table1 ?(json_dir = ".") () =
 
 let fill_string app addr n =
   let s = Bytes.init (n - 1) (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
-  User_ext.poke_bytes app addr (Bytes.cat s (Bytes.of_string "\000"))
+  Pbackend.poke_bytes app addr (Bytes.cat s (Bytes.of_string "\000"))
 
 let table2 ?(json_dir = ".") ?(runs = 100) () =
   let since = Obs.Counters.snapshot () in
   let _w, app = boot_app () in
   (* protected: extension segment; unprotected: ordinary shared lib *)
-  let ext = User_ext.seg_dlopen app Ulib.strrev_image in
-  let protected_prepare = User_ext.seg_dlsym app ext "strrev" in
+  let ext = Pbackend.load app Ulib.strrev_image in
+  let protected_prepare = Pbackend.resolve app ext "strrev" in
   let unprot_image =
     Image.create ~name:"strrevlocal" ~exports:[ "strrev_l" ]
       (Ulib.strrev_body ~name:"strrev_l")
   in
   let unprot =
-    Dyld.dlopen ~kernel:(User_ext.kernel app) ~task:(User_ext.task app)
-      ~env:(User_ext.env app) unprot_image
+    Dyld.dlopen ~kernel:(Pbackend.kernel app) ~task:(Pbackend.task app)
+      ~env:(Pbackend.env app) unprot_image
   in
   let unprot_fn = Dyld.dlsym unprot "strrev_l" in
-  let shared_buf = User_ext.xmalloc ext 512 in
+  let shared_buf = Pbackend.xmalloc ext 512 in
   let h_prot = Obs.Histogram.create () in
   let measure ?h f =
     let xs =
@@ -250,7 +253,7 @@ let table2 ?(json_dir = ".") ?(runs = 100) () =
               | None -> ());
               usec_of_cycles cycles
           | Error e ->
-              Fmt.failwith "table2 call failed: %a" User_ext.pp_call_error e)
+              Fmt.failwith "table2 call failed: %a" Pbackend.pp_call_error e)
     in
     (Stats.mean xs, Stats.stddev xs)
   in
@@ -260,12 +263,12 @@ let table2 ?(json_dir = ".") ?(runs = 100) () =
         fill_string app shared_buf n;
         let unprot_mean, unprot_sd =
           measure (fun () ->
-              User_ext.call_unprotected app ~fn:unprot_fn ~arg:shared_buf)
+              Pbackend.call_unprotected app ~fn:unprot_fn ~arg:shared_buf)
         in
         fill_string app shared_buf n;
         let prot_mean, prot_sd =
           measure ~h:h_prot (fun () ->
-              User_ext.call app ~prepare:protected_prepare ~arg:shared_buf)
+              Pbackend.call app ~prepare:protected_prepare ~arg:shared_buf)
         in
         let rpc = Rpc.round_trip_usec ~bytes:n in
         (n, (unprot_mean, unprot_sd), (prot_mean, prot_sd), rpc))
@@ -487,40 +490,40 @@ let micro ?(json_dir = ".") () =
   let since = Obs.Counters.snapshot () in
   (* dlopen vs seg_dlopen *)
   let _w, app = boot_app () in
-  let cpu = Kernel.cpu (User_ext.kernel app) in
+  let cpu = Kernel.cpu (Pbackend.kernel app) in
   let before = Cpu.cycles cpu in
   let _h =
-    Dyld.dlopen ~kernel:(User_ext.kernel app) ~task:(User_ext.task app)
-      ~env:(User_ext.env app) Ulib.libc_image
+    Dyld.dlopen ~kernel:(Pbackend.kernel app) ~task:(Pbackend.task app)
+      ~env:(Pbackend.env app) Ulib.libc_image
   in
   let dlopen_cycles = Cpu.cycles cpu - before in
   let before = Cpu.cycles cpu in
-  let _x = User_ext.seg_dlopen app Ulib.null_image in
+  let _x = Pbackend.load app Ulib.null_image in
   let seg_dlopen_cycles = Cpu.cycles cpu - before in
   (* PPL marking of a 10-page region *)
   let area =
-    Address_space.mmap (User_ext.task app).Task.asp ~len:(10 * 4096)
+    Address_space.mmap (Pbackend.task app).Task.asp ~len:(10 * 4096)
       ~perms:Vm_area.rw Vm_area.Data
   in
-  Address_space.populate (User_ext.task app).Task.asp area;
+  Address_space.populate (Pbackend.task app).Task.asp area;
   let before = Cpu.cycles cpu in
-  User_ext.expose_range app ~addr:area.Vm_area.va_start ~len:(10 * 4096);
+  Pbackend.expose_range app ~addr:area.Vm_area.va_start ~len:(10 * 4096);
   let mark10 = Cpu.cycles cpu - before in
   (* SIGSEGV delivery: offending store by an extension *)
-  let rogue = User_ext.seg_dlopen app Ulib.rogue_write_image in
-  let poke = User_ext.seg_dlsym app rogue "poke" in
+  let rogue = Pbackend.load app Ulib.rogue_write_image in
+  let poke = Pbackend.resolve app rogue "poke" in
   let before = Cpu.cycles cpu in
-  (match User_ext.call app ~prepare:poke ~arg:area.Vm_area.va_start with
-  | Error (User_ext.Protection_fault _) -> failwith "expected success (exposed)"
+  (match Pbackend.call app ~prepare:poke ~arg:area.Vm_area.va_start with
+  | Error (Pbackend.Protection_fault _) -> failwith "expected success (exposed)"
   | _ -> ());
   let ok_call = Cpu.cycles cpu - before in
-  User_ext.hide_range app ~addr:area.Vm_area.va_start ~len:(10 * 4096);
+  Pbackend.hide_range app ~addr:area.Vm_area.va_start ~len:(10 * 4096);
   let h_segv = Obs.Histogram.create () in
   let segv_call = ref 0 in
   for _ = 1 to 8 do
     let before = Cpu.cycles cpu in
-    (match User_ext.call app ~prepare:poke ~arg:area.Vm_area.va_start with
-    | Error (User_ext.Protection_fault _) -> ()
+    (match Pbackend.call app ~prepare:poke ~arg:area.Vm_area.va_start with
+    | Error (Pbackend.Protection_fault _) -> ()
     | _ -> failwith "expected SIGSEGV");
     segv_call := Cpu.cycles cpu - before;
     Obs.Histogram.observe h_segv !segv_call
@@ -596,13 +599,13 @@ let ipc_cmp ?(json_dir = ".") ~palladium_cycles () =
      return), the quantity compared against the other mechanisms *)
   let h_call = Obs.Histogram.create () in
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
-  let cpu = Kernel.cpu (User_ext.kernel app) in
-  ignore (User_ext.call app ~prepare ~arg:1);
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
+  let cpu = Kernel.cpu (Pbackend.kernel app) in
+  ignore (Pbackend.call app ~prepare ~arg:1);
   for _ = 1 to 16 do
     let before = Cpu.cycles cpu in
-    ignore (User_ext.call app ~prepare ~arg:1);
+    ignore (Pbackend.call app ~prepare ~arg:1);
     Obs.Histogram.observe h_call (Cpu.cycles cpu - before)
   done;
   Table.print ~title:"IPC comparison (section 5.1)" ~aligns:[ Table.L ]
@@ -884,8 +887,23 @@ let sfi ?(json_dir = ".") ?(packets = 48) () =
    verdicts, the requests completed, and containment of the rogue
    store. *)
 
+(* The comparators: the two application-hosting backends plus the two
+   SFI flavours, which rewrite modules and exist only here. *)
+type bk_backend = Hosted of Pbackend.kind | Rewritten of Sfi.mode
+
+let bk_backends =
+  [
+    Hosted Pbackend.Segmentation; Hosted Pbackend.Mpk; Rewritten Sfi.Full;
+    Rewritten Sfi.Verified;
+  ]
+
+let bk_name = function
+  | Hosted k -> Pbackend.kind_name k
+  | Rewritten Sfi.Full -> "sfi-full"
+  | Rewritten Sfi.Verified -> "sfi-verified"
+
 type bk_row = {
-  bk_kind : Pbackend.kind;
+  bk_kind : bk_backend;
   bk_xfer_cycles : float; (* mean protected null-call cycles *)
   bk_strrev : string;
   bk_filter_cycles : float; (* mean cycles per packet *)
@@ -979,7 +997,7 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
     | Ok (_, c) ->
         Obs.Histogram.observe hist c;
         cyc := !cyc + c
-    | Error e -> Fmt.failwith "backends: null call: %a" User_ext.pp_call_error e
+    | Error e -> Fmt.failwith "backends: null call: %a" Pbackend.pp_call_error e
   done;
   (* strrev over a shared heap buffer *)
   let rev = Pbackend.load app Ulib.strrev_image in
@@ -988,7 +1006,7 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
   Pbackend.poke_bytes app buf (Bytes.of_string (bk_string ^ "\000"));
   (match Pbackend.call app ~prepare:rev_prep ~arg:buf with
   | Ok _ -> ()
-  | Error e -> Fmt.failwith "backends: strrev: %a" User_ext.pp_call_error e);
+  | Error e -> Fmt.failwith "backends: strrev: %a" Pbackend.pp_call_error e);
   let reversed =
     Bytes.to_string (Pbackend.peek_bytes app buf (String.length bk_string))
   in
@@ -1007,7 +1025,7 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
         | Ok (v, c) ->
             fcyc := !fcyc + c;
             v
-        | Error e -> Fmt.failwith "backends: filter: %a" User_ext.pp_call_error e)
+        | Error e -> Fmt.failwith "backends: filter: %a" Pbackend.pp_call_error e)
       stream
   in
   (* fault injection: extension store to hidden application memory *)
@@ -1023,13 +1041,13 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
   let contained, fault_class =
     match Pbackend.call app ~prepare:poke ~arg:cell with
     | Ok _ -> (false, "completed")
-    | Error (User_ext.Protection_fault f) ->
+    | Error (Pbackend.Protection_fault f) ->
         (Pbackend.peek_u32 app cell = 0x5eed, bk_fault_name f)
-    | Error e -> (false, Fmt.str "%a" User_ext.pp_call_error e)
+    | Error e -> (false, Fmt.str "%a" Pbackend.pp_call_error e)
   in
   let row =
     {
-      (bk_empty kind) with
+      (bk_empty (Hosted kind)) with
       bk_xfer_cycles = float_of_int !cyc /. float_of_int calls;
       bk_strrev = reversed;
       bk_filter_cycles =
@@ -1047,9 +1065,8 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
    has no transfer gate — its tax is the inline guards — so the
    "transfer" is a bare module invocation, and containment comes from
    address masking rather than a fault. *)
-let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind =
+let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests mode =
   let since = Obs.Counters.snapshot () in
-  let mode = if kind = Pbackend.Sfi_verified then Sfi.Verified else Sfi.Full in
   let w = Palladium.boot () in
   let kernel = Palladium.kernel w in
   let task = Kernel.create_task kernel ~name:"bk" in
@@ -1124,7 +1141,7 @@ let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind =
   in
   let row =
     {
-      (bk_empty kind) with
+      (bk_empty (Rewritten mode)) with
       bk_xfer_cycles = float_of_int !cyc /. float_of_int calls;
       bk_strrev = reversed;
       bk_filter_cycles =
@@ -1151,13 +1168,12 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
   let hist = Obs.Histogram.create () in
   let rows =
     List.map
-      (fun kind ->
-        match kind with
-        | Pbackend.Segmentation | Pbackend.Mpk ->
+      (function
+        | Hosted kind ->
             bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind
-        | Pbackend.Sfi_full | Pbackend.Sfi_verified ->
-            bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind)
-      Pbackend.all
+        | Rewritten mode ->
+            bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests mode)
+      bk_backends
   in
   let base = List.hd rows in
   let agree =
@@ -1171,8 +1187,8 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
   in
   let find k = List.find (fun r -> r.bk_kind = k) rows in
   let mpk_cheaper =
-    (find Pbackend.Mpk).bk_xfer_cycles
-    < (find Pbackend.Segmentation).bk_xfer_cycles
+    (find (Hosted Pbackend.Mpk)).bk_xfer_cycles
+    < (find (Hosted Pbackend.Segmentation)).bk_xfer_cycles
   in
   let matches = List.length (List.filter (( = ) 1) base.bk_verdicts) in
   Table.print
@@ -1186,7 +1202,7 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
     (List.map
        (fun r ->
          [
-           Pbackend.kind_name r.bk_kind;
+           bk_name r.bk_kind;
            Printf.sprintf "%.1f" r.bk_xfer_cycles;
            Printf.sprintf "%.1f" r.bk_filter_cycles;
            Printf.sprintf "%.0f" r.bk_rps;
@@ -1211,7 +1227,7 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
   let row_json r =
     Obj
       [
-        ("backend", String (Pbackend.kind_name r.bk_kind));
+        ("backend", String (bk_name r.bk_kind));
         ("transfer_cycles", Float r.bk_xfer_cycles);
         ("strrev", String r.bk_strrev);
         ("filter_cycles_per_packet", Float r.bk_filter_cycles);
@@ -1694,19 +1710,19 @@ let bechamel ?(json_dir = ".") ?(quota_sec = 0.5) () =
     Test.make ~name:"table1/protected-null-call"
       (Staged.stage (fun () ->
            let _w, app = boot_app () in
-           let ext = User_ext.seg_dlopen app Ulib.null_image in
-           let prepare = User_ext.seg_dlsym app ext "null_fn" in
-           ignore (User_ext.call app ~prepare ~arg:1)))
+           let ext = Pbackend.load app Ulib.null_image in
+           let prepare = Pbackend.resolve app ext "null_fn" in
+           ignore (Pbackend.call app ~prepare ~arg:1)))
   in
   let t2 =
     Test.make ~name:"table2/strrev-256B"
       (Staged.stage (fun () ->
            let _w, app = boot_app () in
-           let ext = User_ext.seg_dlopen app Ulib.strrev_image in
-           let prepare = User_ext.seg_dlsym app ext "strrev" in
-           let buf = User_ext.xmalloc ext 512 in
+           let ext = Pbackend.load app Ulib.strrev_image in
+           let prepare = Pbackend.resolve app ext "strrev" in
+           let buf = Pbackend.xmalloc ext 512 in
            fill_string app buf 256;
-           ignore (User_ext.call app ~prepare ~arg:buf)))
+           ignore (Pbackend.call app ~prepare ~arg:buf)))
   in
   let t3 =
     Test.make ~name:"table3/des-sweep"
@@ -1784,17 +1800,13 @@ let fleet_world ~calls ~requests i =
   let requests = requests + (32 * (i mod 4)) in
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:(Printf.sprintf "fleet%d" i) in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
   let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
   for _ = 1 to calls do
-    let marks = protected_null_call_marks app prepare in
-    let setup = find_mark marks ".setup" in
-    let body = find_mark marks ".body" in
-    let return = find_mark marks ".return" in
-    let done_ = find_mark marks "rt.done" in
-    Obs.Histogram.observe h_call (done_ - setup - (return - body))
+    Obs.Histogram.observe h_call
+      (call_overhead (protected_null_call_marks app prepare))
   done;
   let h_req = Obs.Histogram.get_or_create "fleet.request_usec" in
   let stats =
@@ -2060,19 +2072,19 @@ let mix_rounds = 4096
 let fastpath_calls_sample ?hist engine ~image ~export ~calls =
   with_engine engine @@ fun () ->
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app image in
-  let prepare = User_ext.seg_dlsym app ext export in
-  (match User_ext.call app ~prepare ~arg:1 (* warm TLB and pages *) with
+  let ext = Pbackend.load app image in
+  let prepare = Pbackend.resolve app ext export in
+  (match Pbackend.call app ~prepare ~arg:1 (* warm TLB and pages *) with
   | Ok _ -> ()
-  | Error e -> Fmt.failwith "fastpath warm call: %a" User_ext.pp_call_error e);
-  let cpu = Kernel.cpu (User_ext.kernel app) in
+  | Error e -> Fmt.failwith "fastpath warm call: %a" Pbackend.pp_call_error e);
+  let cpu = Kernel.cpu (Pbackend.kernel app) in
   let c0 = Cpu.cycles cpu and i0 = Cpu.instructions cpu in
   let t0 = Sys.time () in
   for _ = 1 to calls do
     let before = Cpu.cycles cpu in
-    (match User_ext.call app ~prepare ~arg:1 with
+    (match Pbackend.call app ~prepare ~arg:1 with
     | Ok _ -> ()
-    | Error e -> Fmt.failwith "fastpath call: %a" User_ext.pp_call_error e);
+    | Error e -> Fmt.failwith "fastpath call: %a" Pbackend.pp_call_error e);
     match hist with
     | Some h -> Obs.Histogram.observe h (Cpu.cycles cpu - before)
     | None -> ()
@@ -2088,16 +2100,16 @@ let fastpath_calls_sample ?hist engine ~image ~export ~calls =
 let fastpath_server_sample engine ~sim_calls ~requests =
   with_engine engine @@ fun () ->
   let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app (Ulib.mix_image ~rounds:mix_rounds) in
-  let prepare = User_ext.seg_dlsym app ext "mix" in
-  (match User_ext.call app ~prepare ~arg:1 with
+  let ext = Pbackend.load app (Ulib.mix_image ~rounds:mix_rounds) in
+  let prepare = Pbackend.resolve app ext "mix" in
+  (match Pbackend.call app ~prepare ~arg:1 with
   | Ok _ -> ()
-  | Error e -> Fmt.failwith "fastpath mix: %a" User_ext.pp_call_error e);
-  let cpu = Kernel.cpu (User_ext.kernel app) in
+  | Error e -> Fmt.failwith "fastpath mix: %a" Pbackend.pp_call_error e);
+  let cpu = Kernel.cpu (Pbackend.kernel app) in
   let c0 = Cpu.cycles cpu and i0 = Cpu.instructions cpu in
   let t0 = Sys.time () in
   for _ = 1 to sim_calls do
-    ignore (User_ext.call app ~prepare ~arg:1)
+    ignore (Pbackend.call app ~prepare ~arg:1)
   done;
   let sec = Sys.time () -. t0 in
   let d_cycles = Cpu.cycles cpu - c0 in
@@ -2212,7 +2224,7 @@ let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
    duration is charged to the world CPU so sample boundaries track
    offered load, and the collector is ticked explicitly at every batch
    boundary — a short protected call retires fewer instructions than
-   the watchdog tick period and [User_ext.call] resets the tick
+   the watchdog tick period and [Pbackend.call] resets the tick
    countdown per invocation, so the chained hook alone would starve.
    Deterministic in the world index: same batches -> same cycle
    stamps -> bit-identical sampled series, serial or parallel. *)
@@ -2220,9 +2232,9 @@ let timeline_world ~collectors ~batches ~calls ~requests i =
   let calls = calls + (i mod 3) in
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:(Printf.sprintf "timeline%d" i) in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
-  let kcpu = Kernel.cpu (User_ext.kernel app) in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
+  let kcpu = Kernel.cpu (Pbackend.kernel app) in
   let c = collectors.(i) in
   Telemetry.attach c kcpu;
   let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
@@ -2230,12 +2242,8 @@ let timeline_world ~collectors ~batches ~calls ~requests i =
   let served = ref 0 in
   for _ = 1 to batches do
     for _ = 1 to calls do
-      let marks = protected_null_call_marks app prepare in
-      let setup = find_mark marks ".setup" in
-      let body = find_mark marks ".body" in
-      let return = find_mark marks ".return" in
-      let done_ = find_mark marks "rt.done" in
-      Obs.Histogram.observe h_call (done_ - setup - (return - body))
+      Obs.Histogram.observe h_call
+        (call_overhead (protected_null_call_marks app prepare))
     done;
     let stats =
       Server.run ~concurrency:16 ~total:requests ~latency:h_req

@@ -68,38 +68,32 @@ let backend_flag =
         ~doc:
           "Protection backend for extensible applications: $(b,seg) (the \
            paper's segmentation mechanism, the default) or $(b,mpk) \
-           (protection keys with wrpkru entry stubs).  $(b,sfi-full) and \
-           $(b,sfi-verified) are benchmark-only comparators (see bench \
-           backends).  Defaults from \\$PALLADIUM_BACKEND.")
+           (protection keys with wrpkru entry stubs).  The SFI comparators \
+           live in bench backends.  Defaults from \\$PALLADIUM_BACKEND.")
 
 let set_backend = Pbackend.set_default
 
-(* Create a backend-generic application, exiting cleanly when the
-   selected backend cannot host applications (the SFI kinds). *)
-let create_app_or_exit w ~name =
-  try Palladium.create_backend_app w ~name
-  with Invalid_argument msg ->
-    Printf.eprintf "palladium: %s\n" msg;
-    exit 2
-
 (* --- call: measure a protected null call ----------------------------- *)
 
-let run_call iterations =
-  let w = Palladium.boot () in
-  let app = create_app_or_exit w ~name:"cli" in
+(* Cycles of [iterations] warm protected null calls in a fresh
+   application of world [w]. *)
+let null_call_samples w ~name iterations =
+  let app = Palladium.create_backend_app w ~name in
   let ext = Pbackend.load app Ulib.null_image in
   let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (Pbackend.call app ~prepare ~arg:0);
-  let samples =
-    List.init iterations (fun _ ->
-        match Pbackend.call app ~prepare ~arg:0 with
-        | Ok (_, cycles) -> float_of_int cycles
-        | Error e -> Fmt.failwith "%a" User_ext.pp_call_error e)
-  in
+  List.init iterations (fun _ ->
+      match Pbackend.call app ~prepare ~arg:0 with
+      | Ok (_, cycles) -> float_of_int cycles
+      | Error e -> Fmt.failwith "%a" Pbackend.pp_call_error e)
+
+let run_call iterations =
+  let w = Palladium.boot () in
+  let samples = null_call_samples w ~name:"cli" iterations in
   Printf.printf
     "protected null call (%s backend): mean %.1f cycles (%.3f usec), stddev \
      %.2f, %d runs\n"
-    (Pbackend.kind_name (Pbackend.backend_of app))
+    (Pbackend.kind_name (Palladium.backend w))
     (Stats.mean samples)
     (Stats.mean samples /. mhz)
     (Stats.stddev samples) iterations
@@ -230,44 +224,12 @@ let filter_cmd =
 
 (* Mean protected null-call cost in usec of simulated time under one
    backend — the per-request protection cost the web-server model
-   charges Libcgi_protected.  The application backends are measured
-   through [Pbackend]; the SFI comparators through a sandboxed kernel
-   module, their natural host. *)
+   charges Libcgi_protected. *)
 let null_call_usec ?(iterations = 40) backend =
-  match backend with
-  | (Pbackend.Segmentation | Pbackend.Mpk) as b ->
-      let w = Palladium.boot ~backend:b () in
-      let app = create_app_or_exit w ~name:"probe" in
-      let ext = Pbackend.load app Ulib.null_image in
-      let prepare = Pbackend.resolve app ext "null_fn" in
-      ignore (Pbackend.call app ~prepare ~arg:0);
-      let samples =
-        List.init iterations (fun _ ->
-            match Pbackend.call app ~prepare ~arg:0 with
-            | Ok (_, cycles) -> float_of_int cycles
-            | Error e -> Fmt.failwith "%a" User_ext.pp_call_error e)
-      in
-      Palladium.teardown w;
-      Stats.mean samples /. mhz
-  | (Pbackend.Sfi_full | Pbackend.Sfi_verified) as b ->
-      let w = Palladium.boot () in
-      let kernel = Palladium.kernel w in
-      let task = Kernel.create_task kernel ~name:"probe" in
-      let mode = if b = Pbackend.Sfi_full then Sfi.Full else Sfi.Verified in
-      let region = { Sfi.base = 0; size = 1 lsl 30 } in
-      let km =
-        Kmod.insmod kernel
-          (Sfi.sandbox_image ~mode Sfi.Read_write region Ulib.null_image)
-      in
-      let invoke () =
-        match Kmod.invoke km task ~fn:"null_fn" ~arg:0 with
-        | Kernel.Completed, _, cycles -> float_of_int cycles
-        | _ -> failwith "null_call_usec: sfi null call failed"
-      in
-      ignore (invoke ());
-      let samples = List.init iterations (fun _ -> invoke ()) in
-      Palladium.teardown w;
-      Stats.mean samples /. mhz
+  let w = Palladium.boot ~backend () in
+  let samples = null_call_samples w ~name:"probe" iterations in
+  Palladium.teardown w;
+  Stats.mean samples /. mhz
 
 let run_webserver backend bytes concurrency total deadline wcet =
   let models =
@@ -413,7 +375,7 @@ let run_fleet_live worlds domains bytes duration sample_ms serve_port
     let w = Palladium.boot () in
     let kcpu = Kernel.cpu (Palladium.kernel w) in
     Telemetry.attach collectors.(i) kcpu;
-    let app = create_app_or_exit w ~name:(Printf.sprintf "fleet-%d" i) in
+    let app = Palladium.create_backend_app w ~name:(Printf.sprintf "fleet-%d" i) in
     let ext = Pbackend.load app Ulib.null_image in
     let prepare = Pbackend.resolve app ext "null_fn" in
     let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
@@ -425,7 +387,7 @@ let run_fleet_live worlds domains bytes duration sample_ms serve_port
         let t0 = Cpu.cycles kcpu in
         (match Pbackend.call app ~prepare ~arg:0 with
         | Ok _ -> ()
-        | Error e -> Fmt.failwith "%a" User_ext.pp_call_error e);
+        | Error e -> Fmt.failwith "%a" Pbackend.pp_call_error e);
         Obs.Histogram.observe h_call (Cpu.cycles kcpu - t0)
       done;
       let r =
@@ -754,7 +716,7 @@ let rpc_cmd =
    ways, walks pages, loads descriptors and makes syscalls. *)
 let run_workload ~iterations ~with_fault =
   let w = Palladium.boot () in
-  let app = create_app_or_exit w ~name:"cli" in
+  let app = Palladium.create_backend_app w ~name:"cli" in
   let ext = Pbackend.load app Ulib.null_image in
   let prepare = Pbackend.resolve app ext "null_fn" in
   for _ = 1 to max 1 iterations do
@@ -1298,8 +1260,8 @@ let audit_cmd =
 let run_vmmap () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"inspect" in
-  ignore (User_ext.seg_dlopen app Ulib.strrev_image);
-  Fmt.pr "%a\n" Address_space.pp (User_ext.task app).Task.asp
+  ignore (Pbackend.load app Ulib.strrev_image);
+  Fmt.pr "%a\n" Address_space.pp (Pbackend.task app).Task.asp
 
 let vmmap_cmd =
   Cmd.v

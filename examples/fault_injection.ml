@@ -11,64 +11,64 @@ let scenario name f =
 let () =
   let world = Palladium.boot () in
   let app = Palladium.create_app world ~name:"host" in
-  let task = User_ext.task app in
+  let task = Pbackend.task app in
 
   scenario "1. extension writes the application's private data" (fun () ->
-      let rogue = User_ext.seg_dlopen app Ulib.rogue_write_image in
-      let poke = User_ext.seg_dlsym app rogue "poke" in
+      let rogue = Pbackend.load app Ulib.rogue_write_image in
+      let poke = Pbackend.resolve app rogue "poke" in
       let target =
         (List.find
            (fun (a : Vm_area.t) -> a.Vm_area.label = "palladium.data")
            (Address_space.areas task.Task.asp))
           .Vm_area.va_start
       in
-      match User_ext.call app ~prepare:poke ~arg:target with
-      | Error (User_ext.Protection_fault f) ->
+      match Pbackend.call app ~prepare:poke ~arg:target with
+      | Error (Pbackend.Protection_fault f) ->
           Fmt.pr "blocked by the U/S page check: %a\n" X86.Fault.pp f
       | _ -> print_endline "!! not blocked");
 
   scenario "2. extension overwrites the (read-only, PPL 1) GOT" (fun () ->
       (* give the rogue a GOT to attack: a client with imports *)
       ignore
-        (Dyld.dlopen ~kernel:(User_ext.kernel app) ~task
-           ~env:(User_ext.env app) Ulib.libc_image);
+        (Dyld.dlopen ~kernel:(Pbackend.kernel app) ~task
+           ~env:(Pbackend.env app) Ulib.libc_image);
       let client =
-        User_ext.seg_dlopen app Ulib.strlen_client_image
+        Pbackend.load app Ulib.strlen_client_image
       in
       let got =
-        match client.User_ext.x_handle.Dyld.h_got_base with
+        match client.Pbackend.x_handle.Dyld.h_got_base with
         | Some g -> g
         | None -> failwith "client has no GOT"
       in
       (* the loader bound the GOT eagerly and write-protected it *)
-      let rogue = User_ext.seg_dlopen app Ulib.rogue_write_image in
-      let poke = User_ext.seg_dlsym app rogue "poke" in
-      match User_ext.call app ~prepare:poke ~arg:got with
-      | Error (User_ext.Protection_fault f) ->
+      let rogue = Pbackend.load app Ulib.rogue_write_image in
+      let poke = Pbackend.resolve app rogue "poke" in
+      match Pbackend.call app ~prepare:poke ~arg:got with
+      | Error (Pbackend.Protection_fault f) ->
           Fmt.pr "blocked by the read-only page check: %a\n" X86.Fault.pp f
       | _ -> print_endline "!! not blocked");
 
   scenario "3. extension loops forever" (fun () ->
-      User_ext.set_time_limit app 50_000;
-      let rogue = User_ext.seg_dlopen app Ulib.rogue_loop_image in
-      let spin = User_ext.seg_dlsym app rogue "spin" in
-      match User_ext.call app ~prepare:spin ~arg:0 with
-      | Error (User_ext.Time_limit_exceeded e) ->
+      Pbackend.set_time_limit app 50_000;
+      let rogue = Pbackend.load app Ulib.rogue_loop_image in
+      let spin = Pbackend.resolve app rogue "spin" in
+      match Pbackend.call app ~prepare:spin ~arg:0 with
+      | Error (Pbackend.Time_limit_exceeded e) ->
           Printf.printf
             "aborted by the per-invocation CPU limit: used %d > %d cycles\n"
             e.Watchdog.wd_used e.Watchdog.wd_limit
       | _ -> print_endline "!! not stopped");
 
   scenario "4. extension tries a direct system call" (fun () ->
-      let rogue = User_ext.seg_dlopen app Ulib.rogue_syscall_image in
-      let try_sys = User_ext.seg_dlsym app rogue "try_syscall" in
-      match User_ext.call app ~prepare:try_sys ~arg:0 with
+      let rogue = Pbackend.load app Ulib.rogue_syscall_image in
+      let try_sys = Pbackend.resolve app rogue "try_syscall" in
+      match Pbackend.call app ~prepare:try_sys ~arg:0 with
       | Ok (v, _) ->
           let v = if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v in
           Printf.printf
             "kernel rejected it: getpid returned %d (EPERM, the taskSPL check)\n"
             v
-      | Error e -> Fmt.pr "unexpected: %a\n" User_ext.pp_call_error e);
+      | Error e -> Fmt.pr "unexpected: %a\n" Pbackend.pp_call_error e);
 
   scenario "5. kernel extension overruns its segment" (fun () ->
       let seg = Palladium.create_kernel_segment world in

@@ -51,7 +51,7 @@ let () =
   let display_sel =
     User_ext.add_service browser ~name:"display" ~handler:(fun ~args_base ->
         let b = Option.get !browser_ref in
-        let v = User_ext.peek_u32 b args_base in
+        let v = Pbackend.peek_u32 b args_base in
         displayed := v :: !displayed;
         0)
   in
@@ -59,43 +59,43 @@ let () =
   Printf.printf "browser exposes one service: display (gate %#x)\n" display_sel;
 
   (* Applet 1: well-behaved. *)
-  let scratch = User_ext.seg_dlopen browser Ulib.null_image in
-  let slot = User_ext.xmalloc scratch 4 in
-  User_ext.poke_u32 browser slot display_sel;
-  let applet = User_ext.seg_dlopen browser (fib_applet ~slot_addr:slot) in
-  let main = User_ext.seg_dlsym browser applet "main" in
-  (match User_ext.call browser ~prepare:main ~arg:0 with
+  let scratch = Pbackend.load browser Ulib.null_image in
+  let slot = Pbackend.xmalloc scratch 4 in
+  Pbackend.poke_u32 browser slot display_sel;
+  let applet = Pbackend.load browser (fib_applet ~slot_addr:slot) in
+  let main = Pbackend.resolve browser applet "main" in
+  (match Pbackend.call browser ~prepare:main ~arg:0 with
   | Ok _ -> Printf.printf "applet displayed: %d (fib 10)\n" (List.hd !displayed)
-  | Error e -> Fmt.pr "applet failed: %a\n" User_ext.pp_call_error e);
+  | Error e -> Fmt.pr "applet failed: %a\n" Pbackend.pp_call_error e);
 
   (* Applet 2: hostile. *)
   print_endline "\nhostile applet:";
-  User_ext.set_time_limit browser 100_000;
-  let evil_mem = User_ext.seg_dlopen browser Ulib.rogue_write_image in
-  let poke = User_ext.seg_dlsym browser evil_mem "poke" in
+  Pbackend.set_time_limit browser 100_000;
+  let evil_mem = Pbackend.load browser Ulib.rogue_write_image in
+  let poke = Pbackend.resolve browser evil_mem "poke" in
   let host_private =
     (List.find
        (fun (a : Vm_area.t) -> a.Vm_area.label = "palladium.data")
-       (Address_space.areas (User_ext.task browser).Task.asp))
+       (Address_space.areas (Pbackend.task browser).Task.asp))
       .Vm_area.va_start
   in
-  (match User_ext.call browser ~prepare:poke ~arg:host_private with
-  | Error (User_ext.Protection_fault _) ->
+  (match Pbackend.call browser ~prepare:poke ~arg:host_private with
+  | Error (Pbackend.Protection_fault _) ->
       print_endline "  - write to browser memory: blocked (page hardware)"
   | _ -> print_endline "  !! memory attack succeeded");
-  let evil_sys = User_ext.seg_dlopen browser Ulib.rogue_syscall_image in
-  let try_sys = User_ext.seg_dlsym browser evil_sys "try_syscall" in
-  (match User_ext.call browser ~prepare:try_sys ~arg:0 with
+  let evil_sys = Pbackend.load browser Ulib.rogue_syscall_image in
+  let try_sys = Pbackend.resolve browser evil_sys "try_syscall" in
+  (match Pbackend.call browser ~prepare:try_sys ~arg:0 with
   | Ok (v, _) when v land 0x8000_0000 <> 0 ->
       print_endline "  - direct system call: rejected with EPERM (taskSPL)"
   | _ -> print_endline "  !! syscall escaped the sandbox");
-  let evil_loop = User_ext.seg_dlopen browser Ulib.rogue_loop_image in
-  let spin = User_ext.seg_dlsym browser evil_loop "spin" in
-  (match User_ext.call browser ~prepare:spin ~arg:0 with
-  | Error (User_ext.Time_limit_exceeded _) ->
+  let evil_loop = Pbackend.load browser Ulib.rogue_loop_image in
+  let spin = Pbackend.resolve browser evil_loop "spin" in
+  (match Pbackend.call browser ~prepare:spin ~arg:0 with
+  | Error (Pbackend.Time_limit_exceeded _) ->
       print_endline "  - infinite loop: aborted by the CPU-time watchdog"
   | _ -> print_endline "  !! loop ran forever");
 
   Printf.printf
     "\nbrowser survived all three attacks; %d SIGSEGV/SIGALRM signals handled\n"
-    (List.length (Signal.delivered (User_ext.task browser).Task.signals))
+    (List.length (Signal.delivered (Pbackend.task browser).Task.signals))

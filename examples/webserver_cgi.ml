@@ -12,22 +12,22 @@ let () =
   (* Measure one protected call the way the web server would pay it. *)
   let world = Palladium.boot () in
   let app = Palladium.create_app world ~name:"httpd" in
-  let script = User_ext.seg_dlopen app Ulib.strrev_image in
-  let prepare = User_ext.seg_dlsym app script "strrev" in
-  let buf = User_ext.xmalloc script 128 in
-  User_ext.poke_bytes app buf (Bytes.of_string "<html>hi</html>\000");
-  ignore (User_ext.call app ~prepare ~arg:buf) (* warm *);
-  User_ext.poke_bytes app buf (Bytes.of_string "<html>hi</html>\000");
+  let script = Pbackend.load app Ulib.strrev_image in
+  let prepare = Pbackend.resolve app script "strrev" in
+  let buf = Pbackend.xmalloc script 128 in
+  Pbackend.poke_bytes app buf (Bytes.of_string "<html>hi</html>\000");
+  ignore (Pbackend.call app ~prepare ~arg:buf) (* warm *);
+  Pbackend.poke_bytes app buf (Bytes.of_string "<html>hi</html>\000");
   let call_usec =
-    match User_ext.call app ~prepare ~arg:buf with
+    match Pbackend.call app ~prepare ~arg:buf with
     | Ok (_, cycles) -> float_of_int cycles /. float_of_int Cycles.mhz
-    | Error e -> Fmt.failwith "CGI call failed: %a" User_ext.pp_call_error e
+    | Error e -> Fmt.failwith "CGI call failed: %a" Pbackend.pp_call_error e
   in
   Printf.printf
     "a LibCGI script runs as a protected call: %.2f usec per invocation\n\
      (script output: %s)\n\n"
     call_usec
-    (Bytes.to_string (User_ext.peek_bytes app buf 15));
+    (Bytes.to_string (Pbackend.peek_bytes app buf 15));
 
   (* The throughput experiment (Table 3), using the measured call cost
      for the protected LibCGI column. *)

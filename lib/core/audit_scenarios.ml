@@ -16,8 +16,8 @@ module L = X86.Layout
 type world = {
   w : Palladium.world;
   kernel : Kernel.t;
-  app : User_ext.t;
-  ext : User_ext.extension;
+  app : Pbackend.app;
+  ext : Pbackend.ext;
   kseg : Kernel_ext.t;
 }
 
@@ -30,8 +30,8 @@ let build () =
   let kernel = Palladium.kernel w in
   let app = Palladium.create_app w ~name:"audited" in
   ignore (Guard.create app ~size:L.page_size);
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  ignore (User_ext.seg_dlsym app ext "null_fn");
+  let ext = Pbackend.load app Ulib.null_image in
+  ignore (Pbackend.resolve app ext "null_fn");
   ignore (User_ext.add_service app ~name:"svc" ~handler:(fun ~args_base:_ -> 0));
   let kseg = Palladium.create_kernel_segment w in
   ignore
@@ -50,7 +50,7 @@ let clean_scenarios : (string * (unit -> Kernel.t)) list =
         ignore (Guard.create app ~size:L.page_size);
         ignore
           (User_ext.add_service app ~name:"svc" ~handler:(fun ~args_base:_ -> 0));
-        ignore (User_ext.seg_dlopen app Ulib.null_image);
+        ignore (Pbackend.load app Ulib.null_image);
         Palladium.kernel w );
     ( "kernelext",
       fun () ->
@@ -91,7 +91,7 @@ let first_gate world =
   | (slot, entry) :: _ -> (slot, entry)
   | [] -> failwith "audit scenario: extension segment has no gates"
 
-let task world = User_ext.task world.app
+let task world = Pbackend.task world.app
 
 let task_dir world = Address_space.directory (task world).Task.asp
 

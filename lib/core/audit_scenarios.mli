@@ -6,8 +6,8 @@
 type world = {
   w : Palladium.world;
   kernel : Kernel.t;
-  app : User_ext.t;
-  ext : User_ext.extension;
+  app : Pbackend.app;
+  ext : Pbackend.ext;
   kseg : Kernel_ext.t;
 }
 

@@ -11,7 +11,7 @@ module DT = X86.Desc_table
 module P = X86.Privilege
 
 type t = {
-  app : User_ext.t;
+  app : Pbackend.app;
   selector : int; (* encoded *)
   base : int; (* linear address of the guarded region *)
   size : int;
@@ -24,8 +24,8 @@ type error = Out_of_bounds of X86.Fault.t
    The descriptor install is a kernel-side operation (descriptor
    tables are only writable at ring 0); the paper envisions it behind
    a system call, here the kernel performs it directly. *)
-let create (app : User_ext.t) ~size =
-  let task = User_ext.task app in
+let create (app : Pbackend.app) ~size =
+  let task = Pbackend.task app in
   let area =
     Address_space.mmap task.Task.asp
       ~len:(X86.Layout.page_align_up size)
@@ -49,7 +49,7 @@ let selector t = t.selector
    anything else — including wild pointers derived from corrupted
    state — faults in hardware before touching memory. *)
 let store t ~offset ~value =
-  let rt = User_ext.runtime t.app in
+  let rt = Pbackend.runtime t.app in
   let o = Runtime.guard_store rt ~selector:t.selector ~offset ~value in
   match o.Runtime.result with
   | Kernel.Completed -> Ok ()
@@ -58,7 +58,7 @@ let store t ~offset ~value =
       invalid_arg "Guard.store: unexpected outcome"
 
 let load t ~offset =
-  let rt = User_ext.runtime t.app in
+  let rt = Pbackend.runtime t.app in
   let o = Runtime.guard_load rt ~selector:t.selector ~offset in
   match o.Runtime.result with
   | Kernel.Completed -> Ok o.Runtime.value
@@ -66,4 +66,4 @@ let load t ~offset =
   | Kernel.Timed_out _ | Kernel.Out_of_fuel ->
       invalid_arg "Guard.load: unexpected outcome"
 
-let destroy t = DT.clear (User_ext.task t.app).Task.ldt t.ldt_index
+let destroy t = DT.clear (Pbackend.task t.app).Task.ldt t.ldt_index

@@ -7,7 +7,7 @@ type t
 
 type error = Out_of_bounds of X86.Fault.t
 
-val create : User_ext.t -> size:int -> t
+val create : Pbackend.app -> size:int -> t
 (** Allocate a guarded region inside the application and install its
     bounding LDT descriptor. *)
 

@@ -3,7 +3,7 @@
    applications (user-level mechanism) and kernel extension segments
    (kernel-level mechanism).
 
-   See {!User_ext} and {!Kernel_ext} for the two mechanisms,
+   See {!Pbackend} and {!Kernel_ext} for the two mechanisms,
    {!Stub_gen} for the Figure 6 control-transfer sequences, {!Guard}
    for the protected-memory service, and {!Ulib} for ready-made
    extension images. *)
@@ -56,7 +56,8 @@ let cpu w = Kernel.cpu w.kernel
 
 (* An extensible application, promoted to SPL 2 and ready to load
    SPL 3 extensions. *)
-let create_app w ~name = User_ext.create w.kernel ~name
+let create_app w ~name =
+  Pbackend.create ~backend:Pbackend.Segmentation w.kernel ~name
 
 (* The world's effective protection backend, and a backend-generic
    application under it (segmentation or protection keys). *)

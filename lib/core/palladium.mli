@@ -1,6 +1,6 @@
 (** Facade over the Palladium reproduction: boot a simulated machine
     with the Palladium-modified kernel, then create extensible
-    applications ({!User_ext}, the user-level mechanism of paper
+    applications ({!Pbackend}, the user-level mechanism of paper
     section 4.4) and kernel extension segments ({!Kernel_ext}, the
     kernel-level mechanism of section 4.3).
 
@@ -45,9 +45,9 @@ val kernel : world -> Kernel.t
 
 val cpu : world -> Cpu.t
 
-val create_app : world -> name:string -> User_ext.t
-(** An extensible application, already promoted to SPL 2 and ready to
-    seg_dlopen extensions. *)
+val create_app : world -> name:string -> Pbackend.app
+(** An extensible application under the segmentation backend, already
+    promoted to SPL 2 and ready to load extensions. *)
 
 val backend : world -> Pbackend.kind
 (** The world's effective protection backend. *)

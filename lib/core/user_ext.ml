@@ -1,358 +1,27 @@
-(* The user-level extension mechanism (section 4.4): an extensible
-   application promotes itself to SPL 2 (all writable pages PPL 0),
-   loads extensions into SPL 3 extension segments spanning the same
-   0-3 GByte range, and calls extension functions through generated
-   Prepare/Transfer stubs with the AppCallGate return path.  Page-level
-   checks protect the application from its extensions; segment-level
-   checks keep everyone out of the kernel. *)
+(* Segmentation-only extras of the user-level mechanism (section 4.4):
+   application services reached through DPL 3 call gates. *)
 
-module Sel = X86.Selector
-
-type extension = {
-  x_name : string;
-  x_handle : Dyld.handle;
-  x_stack_area : Vm_area.t;
-  x_arg_slot : int; (* = initial extension ESP; top stack slot *)
-  x_heap_base : int;
-  x_heap_end : int;
-  mutable x_heap_cursor : int;
-  mutable x_functions : (string * int) list; (* function -> Prepare address *)
-}
-
-type call_error =
+type call_error = Pbackend.call_error =
   | Protection_fault of X86.Fault.t
   | Time_limit_exceeded of Watchdog.expiry
-  | Runaway (* exceeded the simulator's instruction fuel *)
+  | Runaway
 
-type t = {
-  kernel : Kernel.t;
-  task : Task.t;
-  env : Dyld.env;
-  rt : Runtime.t;
-  sp2_slot : int;
-  bp2_slot : int;
-  stub_base : int;
-  stub_end : int;
-  mutable stub_cursor : int;
-  appgate_addr : int;
-  mutable appgate_sel : int;
-  mutable extensions : extension list;
-  mutable services : (string * int) list; (* service name -> gate selector *)
-  mutable time_limit : int;
-  mutable calls : int; (* statistics *)
-}
+let pp_call_error = Pbackend.pp_call_error
 
-let page_size = X86.Phys_mem.page_size
-
-let task t = t.task
-
-let runtime t = t.rt
-
-let env t = t.env
-
-let kernel t = t.kernel
-
-let services t = t.services
-
-let set_time_limit t cycles = t.time_limit <- cycles
-
-let calls t = t.calls
-
-(* Append assembled code to the application's stub region. *)
-let emit_stubs t program =
-  let asm = Asm.assemble ~org:t.stub_cursor program in
-  if t.stub_cursor + asm.Asm.text_size > t.stub_end then
-    invalid_arg "User_ext: stub region exhausted";
-  Code_mem.store_program (Kernel.code t.kernel) ~addr:t.stub_cursor
-    asm.Asm.instrs;
-  t.stub_cursor <- t.stub_cursor + asm.Asm.text_size;
-  asm
-
-(* Create an extensible application: sets up the Palladium runtime
-   data and stub regions, performs init_PL (promoting the process to
-   SPL 2) and installs the AppCallGate return gate. *)
-let create kernel ~name =
-  let task = Kernel.create_task kernel ~name in
-  let env = Dyld.create_env () in
-  let rt = Runtime.install kernel task in
-  (* Saved stack/base pointer slots: live in application data, so they
-     are PPL 0 after promotion — extensions cannot corrupt them. *)
-  let data_area =
-    Address_space.mmap task.Task.asp ~len:page_size ~perms:Vm_area.rw
-      ~label:"palladium.data" Vm_area.Data
+(* The service body runs at SPL 2, reached through a DPL 3 call gate;
+   [handler] receives the address of the arguments the extension
+   pushed on its own stack. *)
+let add_service app ~name ~(handler : args_base:int -> int) =
+  if Pbackend.backend_of app <> Pbackend.Segmentation then
+    invalid_arg "User_ext.add_service: services need the segmentation backend";
+  let kcall_name =
+    Printf.sprintf "asvc$%d$%s" (Pbackend.task app).Task.pid name
   in
-  Address_space.populate task.Task.asp data_area;
-  let sp2_slot = data_area.Vm_area.va_start in
-  let bp2_slot = data_area.Vm_area.va_start + 4 in
-  (* Stub region: read-only executable, hence PPL 1 — both rings can
-     execute Prepare/Transfer from it, neither can modify it. *)
-  let stub_area =
-    Address_space.mmap task.Task.asp
-      ~len:(Pconfig.stub_region_pages * page_size)
-      ~perms:Vm_area.rx ~label:"palladium.stubs" Vm_area.Text
-  in
-  Address_space.populate task.Task.asp stub_area;
-  let t =
-    {
-      kernel;
-      task;
-      env;
-      rt;
-      sp2_slot;
-      bp2_slot;
-      stub_base = stub_area.Vm_area.va_start;
-      stub_end = stub_area.Vm_area.va_end;
-      stub_cursor = stub_area.Vm_area.va_start;
-      appgate_addr = stub_area.Vm_area.va_start;
-      appgate_sel = 0;
-      extensions = [];
-      services = [];
-      time_limit = Pconfig.default_time_limit_cycles;
-      calls = 0;
-    }
-  in
-  ignore
-    (emit_stubs t
-       (Stub_gen.app_call_gate ~label:"appgate" ~mark_prefix:"app" ~sp2_slot
-          ~bp2_slot ()));
-  (* init_PL, then register AppCallGate behind a DPL 3 call gate. *)
-  ignore (Runtime.syscall_exn rt ~number:Syscall.sys_init_pl ~name:"init_PL");
-  t.appgate_sel <-
-    Runtime.syscall_exn rt ~number:Syscall.sys_set_call_gate
-      ~a1:t.appgate_addr ~name:"set_call_gate";
-  Paudit.maybe_audit ~context:("promote " ^ name) kernel;
-  t
-
-(* set_range wrappers. *)
-let expose_range t ~addr ~len =
-  ignore
-    (Runtime.syscall_exn t.rt ~number:Syscall.sys_set_range ~a1:addr ~a2:len
-       ~a3:1 ~name:"set_range")
-
-let hide_range t ~addr ~len =
-  ignore
-    (Runtime.syscall_exn t.rt ~number:Syscall.sys_set_range ~a1:addr ~a2:len
-       ~a3:0 ~name:"set_range")
-
-(* seg_dlopen: load an extension image into an SPL 3 extension segment
-   (same base/range as the application) with its own stack and heap.
-   The extra cost over dlopen is the PPL marking of the pages exposed
-   to the extension (section 5.1). *)
-let seg_dlopen t image =
-  let handle =
-    Dyld.dlopen ~placement:Dyld.extension_segment ~kernel:t.kernel
-      ~task:t.task ~env:t.env image
-  in
-  let asp = t.task.Task.asp in
-  let stack_area =
-    Address_space.mmap asp
-      ~len:(Pconfig.ext_stack_pages * page_size)
-      ~perms:Vm_area.rw
-      ~label:(image.Image.name ^ ".stack")
-      Vm_area.Ext_stack
-  in
-  Address_space.populate asp stack_area;
-  let heap_area =
-    Address_space.mmap asp ~len:(16 * page_size) ~perms:Vm_area.rw
-      ~label:(image.Image.name ^ ".heap")
-      Vm_area.Ext_data
-  in
-  Address_space.populate asp heap_area;
-  let pages =
-    List.fold_left
-      (fun acc a -> acc + Vm_area.pages a)
-      (Vm_area.pages stack_area + Vm_area.pages heap_area)
-      handle.Dyld.h_areas
-  in
-  Cpu.charge (Kernel.cpu t.kernel)
-    (Kcosts.ppl_mark_startup + (Kcosts.ppl_mark_per_page * pages));
-  let ext =
-    {
-      x_name = image.Image.name;
-      x_handle = handle;
-      x_stack_area = stack_area;
-      x_arg_slot = stack_area.Vm_area.va_end - 4;
-      x_heap_base = heap_area.Vm_area.va_start;
-      x_heap_end = heap_area.Vm_area.va_end;
-      x_heap_cursor = heap_area.Vm_area.va_start;
-      x_functions = [];
-    }
-  in
-  t.extensions <- ext :: t.extensions;
-  ext
-
-let find_extension t name =
-  List.find_opt (fun x -> x.x_name = name) t.extensions
-
-(* seg_dlsym: resolve an extension *function* and return a pointer to
-   a freshly generated Prepare routine for it.  Data symbols must be
-   resolved with plain dlsym (paper section 4.4.2). *)
-let seg_dlsym t ext fn_name =
-  match List.assoc_opt fn_name ext.x_functions with
-  | Some prepare -> prepare
-  | None ->
-      let fn_addr = Dyld.dlsym ext.x_handle fn_name in
-      let ext_cs =
-        match t.task.Task.ext_cs with
-        | Some s -> Sel.encode s
-        | None -> invalid_arg "User_ext: application not promoted"
-      in
-      let spec =
-        {
-          Stub_gen.fn_name = ext.x_name ^ "$" ^ fn_name;
-          fn_addr;
-          ext_cs;
-          ext_ss = Sel.encode (Kernel.user_data_selector t.kernel);
-          ext_stack_ptr = ext.x_arg_slot;
-          sp2_slot = t.sp2_slot;
-          bp2_slot = t.bp2_slot;
-          return_gate = t.appgate_sel;
-        }
-      in
-      let asm = emit_stubs t (Stub_gen.prepare_transfer spec) in
-      let prepare = Asm.symbol asm (Stub_gen.prepare_label spec) in
-      ext.x_functions <- (fn_name, prepare) :: ext.x_functions;
-      prepare
-
-let dlsym_data ext name = Dyld.dlsym ext.x_handle name
-
-(* xmalloc: allocate from the extension segment's heap so that the
-   memory is writable by the extension (PPL 1). *)
-let xmalloc ext size =
-  let aligned = (size + 3) land lnot 3 in
-  if ext.x_heap_cursor + aligned > ext.x_heap_end then
-    invalid_arg "User_ext.xmalloc: extension heap exhausted";
-  let addr = ext.x_heap_cursor in
-  ext.x_heap_cursor <- ext.x_heap_cursor + aligned;
-  addr
-
-let c_protected_calls = Obs.Counters.counter "core.protected_calls"
-
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-(* Recover the Table 1 phases of one protected call from the [Mark]
-   stamps the Figure 6 stubs leave behind, and record them as child
-   spans of the (still open) protected_call root:
-
-     Prepare   .setup  -> .call     argument copy + phantom record build
-     lret      .call   -> .body     privilege-lowering far return + near call
-     ext.body  .body   -> .return   the extension function itself
-     lcall     .return -> .restore  near ret + lcall through AppCallGate
-     ret       .restore-> rt.done   AppCallGate restore + near return  *)
-let record_phase_spans marks =
-  let find suffix =
-    List.find_map
-      (fun (n, c) -> if Filename.check_suffix n suffix then Some c else None)
-      marks
-  in
-  let phase name a b =
-    match (a, b) with
-    | Some x, Some y when y >= x -> ignore (Obs.Span.record name ~start:x ~stop:y)
-    | _ -> ()
-  in
-  let setup = find ".setup" in
-  let call = find ".call" in
-  let body = find ".body" in
-  let return = find ".return" in
-  let restore = find ".restore" in
-  let done_ = find "rt.done" in
-  phase "Prepare" setup call;
-  phase "lret" call body;
-  phase "ext.body" body return;
-  phase "lcall" return restore;
-  phase "ret" restore done_
-
-(* Protected extension call: arm the watchdog, enter user mode at the
-   Prepare stub, and interpret the outcome. *)
-let call t ~prepare ~arg =
-  t.calls <- t.calls + 1;
-  Obs.Counters.incr c_protected_calls;
-  let wd = Kernel.watchdog t.kernel in
-  let cpu = Kernel.cpu t.kernel in
-  let span_on = Obs.Span.on () in
-  let marks_before = if span_on then List.length (Cpu.marks cpu) else 0 in
-  if span_on then
-    Obs.Span.begin_ "protected_call"
-      ~args:[ ("prepare", Printf.sprintf "%#x" prepare) ]
-      ~at:(Cpu.cycles cpu);
-  Watchdog.arm wd ~now:(Cpu.cycles cpu) ~limit:t.time_limit ();
-  Cpu.reset_tick cpu (* a fresh invocation starts a fresh timer period *);
-  let o = Runtime.invoke1 t.rt ~fn:prepare ~arg in
-  Watchdog.disarm wd;
-  if span_on then begin
-    record_phase_spans (drop marks_before (Cpu.marks cpu));
-    Obs.Span.end_ "protected_call" ~at:(Cpu.cycles cpu)
-  end;
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~cycles:(Cpu.cycles cpu)
-      (Obs.Trace.Protected_call
-         {
-           fn = Printf.sprintf "%#x" prepare;
-           outcome =
-             (match o.Runtime.result with
-             | Kernel.Completed -> "ok"
-             | Kernel.Faulted _ -> "fault"
-             | Kernel.Timed_out _ -> "timeout"
-             | Kernel.Out_of_fuel -> "runaway");
-           cycles = o.Runtime.cycles;
-         });
-  match o.Runtime.result with
-  | Kernel.Completed -> Ok (o.Runtime.value, o.Runtime.cycles)
-  | Kernel.Faulted f -> Error (Protection_fault f)
-  | Kernel.Timed_out e ->
-      ignore
-        (Signal.deliver t.task.Task.signals
-           {
-             Signal.signal = Signal.SIGALRM;
-             fault_addr = None;
-             reason = "extension exceeded its CPU time limit";
-           });
-      Error (Time_limit_exceeded e)
-  | Kernel.Out_of_fuel -> Error Runaway
-
-(* Unprotected local call to a function in the same protection domain
-   (the Table 2 baseline). *)
-let call_unprotected t ~fn ~arg =
-  let o = Runtime.invoke1 t.rt ~fn ~arg in
-  match o.Runtime.result with
-  | Kernel.Completed -> Ok (o.Runtime.value, o.Runtime.cycles)
-  | Kernel.Faulted f -> Error (Protection_fault f)
-  | Kernel.Timed_out e -> Error (Time_limit_exceeded e)
-  | Kernel.Out_of_fuel -> Error Runaway
-
-(* Expose an application service to extensions: the service body runs
-   at SPL 2, reached through a DPL 3 call gate; [handler] receives the
-   address of the arguments the extension pushed on its own stack. *)
-let add_service t ~name ~(handler : args_base:int -> int) =
-  let kcall_name = Printf.sprintf "asvc$%d$%s" t.task.Task.pid name in
-  let cpu = Kernel.cpu t.kernel in
-  Cpu.register_handler cpu kcall_name (fun cpu ->
+  Cpu.register_handler (Kernel.cpu (Pbackend.kernel app)) kcall_name
+    (fun cpu ->
       let args_base = Cpu.get_reg cpu Reg.EBX in
       Cpu.set_reg cpu Reg.EAX (handler ~args_base));
   let label = "svc$" ^ name in
-  let asm = emit_stubs t (Stub_gen.app_service ~label ~kcall_name) in
-  let entry = Asm.symbol asm label in
-  let sel =
-    Runtime.syscall_exn t.rt ~number:Syscall.sys_set_call_gate ~a1:entry
-      ~name:"set_call_gate"
-  in
-  t.services <- (name, sel) :: t.services;
-  sel
-
-let service_selector t name = List.assoc_opt name t.services
-
-(* Helpers for service handlers to read extension-stack arguments. *)
-let peek_u32 t addr = Address_space.peek_u32 t.task.Task.asp addr
-
-let peek_bytes t addr len = Address_space.peek_bytes t.task.Task.asp addr len
-
-let poke_bytes t addr bytes = Address_space.poke_bytes t.task.Task.asp addr bytes
-
-let poke_u32 t addr v = Address_space.poke_u32 t.task.Task.asp addr v
-
-let pp_call_error ppf = function
-  | Protection_fault f -> Fmt.pf ppf "protection fault: %a" X86.Fault.pp f
-  | Time_limit_exceeded e ->
-      Fmt.pf ppf "time limit exceeded (%d > %d cycles)" e.Watchdog.wd_used
-        e.Watchdog.wd_limit
-  | Runaway -> Fmt.string ppf "runaway extension (instruction fuel exhausted)"
+  let asm = Pbackend.emit_stubs app (Stub_gen.app_service ~label ~kcall_name) in
+  Runtime.syscall_exn (Pbackend.runtime app) ~number:Syscall.sys_set_call_gate
+    ~a1:(Asm.symbol asm label) ~name:"set_call_gate"

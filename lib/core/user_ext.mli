@@ -1,119 +1,21 @@
-(** The user-level extension mechanism (paper section 4.4).
+(** What only the segmentation backend has: application services
+    behind call gates (paper section 4.4.1).  Everything else about
+    hosting an extensible application lives in {!Pbackend}; the error
+    constructors are re-exported here under their historical names. *)
 
-    An extensible application promotes itself to SPL 2 through init_PL
-    (all its writable pages become PPL 0), loads extensions into SPL 3
-    extension segments spanning the same 0-3 GByte range, and calls
-    extension functions through generated Prepare/Transfer stubs; the
-    return path goes through the per-application AppCallGate.
-    Page-level user/supervisor checks protect the application from its
-    extensions; segment-level checks keep everyone out of the
-    kernel. *)
-
-(** A loaded extension: its image, stack, heap and generated stubs. *)
-type extension = {
-  x_name : string;
-  x_handle : Dyld.handle;
-  x_stack_area : Vm_area.t;
-  x_arg_slot : int;  (** top extension-stack slot; initial extension ESP *)
-  x_heap_base : int;
-  x_heap_end : int;
-  mutable x_heap_cursor : int;
-  mutable x_functions : (string * int) list;
-      (** function name -> Prepare address *)
-}
-
-(** Why a protected call did not complete. *)
-type call_error =
+type call_error = Pbackend.call_error =
   | Protection_fault of X86.Fault.t
-      (** the extension strayed outside its domain; SIGSEGV was
-          delivered to the application *)
   | Time_limit_exceeded of Watchdog.expiry
-      (** the per-invocation CPU budget expired (SIGALRM delivered) *)
-  | Runaway  (** simulator instruction fuel exhausted *)
-
-type t
-
-(** {2 Creating an extensible application} *)
-
-val create : Kernel.t -> name:string -> t
-(** Create a task, install the user-mode runtime, generate AppCallGate,
-    perform init_PL (promotion to SPL 2 + PPL marking) and register the
-    return gate.  The returned application is ready to load
-    extensions. *)
-
-val task : t -> Task.t
-
-val runtime : t -> Runtime.t
-
-val env : t -> Dyld.env
-
-val kernel : t -> Kernel.t
-
-val calls : t -> int
-(** Number of protected calls made so far. *)
-
-val set_time_limit : t -> int -> unit
-(** Per-invocation CPU budget in cycles (paper section 4.5.2). *)
-
-(** {2 Loading extensions} *)
-
-val seg_dlopen : t -> Image.t -> extension
-(** Load an image into a fresh SPL 3 extension segment (text, data,
-    GOT, stack and heap areas, all PPL 1).  Charges the paper's
-    measured load cost including PPL marking. *)
-
-val find_extension : t -> string -> extension option
-
-val seg_dlsym : t -> extension -> string -> int
-(** Resolve an extension {e function} and return a pointer to a
-    generated Prepare stub for it (cached per function).  Data symbols
-    must use {!dlsym_data} — only function pointers are "massaged"
-    (paper section 4.5.1). *)
-
-val dlsym_data : extension -> string -> int
-(** Plain dlsym for data symbols inside the extension segment. *)
-
-val xmalloc : extension -> int -> int
-(** Allocate from the extension's heap (PPL 1, writable by the
-    extension); raises [Invalid_argument] when exhausted. *)
-
-(** {2 Calling} *)
-
-val call : t -> prepare:int -> arg:int -> (int * int, call_error) result
-(** Protected extension call: runs Prepare at SPL 2, the extension at
-    SPL 3 and the return gate, under the watchdog.  [Ok (result,
-    cycles)] on completion. *)
-
-val call_unprotected : t -> fn:int -> arg:int -> (int * int, call_error) result
-(** Baseline: a plain local call in the application's own domain. *)
-
-(** {2 PPL management and services} *)
-
-val expose_range : t -> addr:int -> len:int -> unit
-(** set_range to PPL 1: make pages visible to extensions. *)
-
-val hide_range : t -> addr:int -> len:int -> unit
-(** set_range to PPL 0. *)
-
-val add_service : t -> name:string -> handler:(args_base:int -> int) -> int
-(** Expose an application service to extensions behind a DPL 3 call
-    gate (the encapsulation required for buffering libc routines,
-    section 4.4.1).  [handler] receives the address of the arguments
-    the extension pushed on its own stack; its return value goes back
-    in EAX.  Returns the encoded gate selector. *)
-
-val service_selector : t -> string -> int option
-
-val services : t -> (string * int) list
-
-(** {2 Memory access helpers (kernel-side, for tests and services)} *)
-
-val peek_u32 : t -> int -> int
-
-val peek_bytes : t -> int -> int -> Bytes.t
-
-val poke_bytes : t -> int -> Bytes.t -> unit
-
-val poke_u32 : t -> int -> int -> unit
+  | Runaway
 
 val pp_call_error : call_error Fmt.t
+
+val add_service :
+  Pbackend.app -> name:string -> handler:(args_base:int -> int) -> int
+(** Expose an application service to extensions behind a DPL 3 call
+    gate (the encapsulation required for buffering libc routines).
+    [handler] receives the address of the arguments the extension
+    pushed on its own stack; its return value goes back in EAX.
+    Returns the encoded gate selector.
+    @raise Invalid_argument for an application not under
+    [Pbackend.Segmentation]. *)

@@ -161,7 +161,7 @@ let apply_corruption (world : AS.world) c =
       in
       redpl slot (ring_of d)
   | Page_expose ->
-      let tk = User_ext.task world.AS.app in
+      let tk = Pbackend.task world.AS.app in
       let dir = Address_space.directory tk.Task.asp in
       let areas = Address_space.areas tk.Task.asp in
       let a =
@@ -185,7 +185,7 @@ let apply_corruption (world : AS.world) c =
                ~entry:(entry + skew) ())
       | [] -> Alcotest.fail "corruption: no ksvc gate")
   | Tss_selector -> (
-      let tk = User_ext.task world.AS.app in
+      let tk = Pbackend.task world.AS.app in
       match Tss.stack_slot tk.Task.tss X86.Privilege.R2 with
       | Some s ->
           Tss.set_stack tk.Task.tss X86.Privilege.R2

@@ -15,7 +15,7 @@ let check_string = Alcotest.(check string)
    two backends fault through different hardware (PPL page-privilege
    vs protection-key), but must agree on *what* was denied. *)
 let neutral_fault = function
-  | User_ext.Protection_fault f -> (
+  | Pbackend.Protection_fault f -> (
       match f with
       | X86.Fault.Page_privilege { access; _ } | X86.Fault.Page_key { access; _ }
         -> (
@@ -24,8 +24,8 @@ let neutral_fault = function
           | X86.Fault.Write -> "denied-write"
           | X86.Fault.Execute -> "denied-exec")
       | _ -> "other-fault")
-  | User_ext.Time_limit_exceeded _ -> "timeout"
-  | User_ext.Runaway -> "runaway"
+  | Pbackend.Time_limit_exceeded _ -> "timeout"
+  | Pbackend.Runaway -> "runaway"
 
 type outcome = Values of int list | Text of string | Fault of string
 
@@ -39,12 +39,14 @@ type scenario =
   | Counter of int
   | Rogue_write
   | Rogue_read
+  | Spin
 
 let pp_scenario = function
   | Strrev s -> Printf.sprintf "Strrev %S" s
   | Counter n -> Printf.sprintf "Counter %d" n
   | Rogue_write -> "Rogue_write"
   | Rogue_read -> "Rogue_read"
+  | Spin -> "Spin"
 
 let scenario_gen =
   let open QCheck.Gen in
@@ -55,6 +57,7 @@ let scenario_gen =
       map (fun n -> Counter n) (int_range 1 6);
       return Rogue_write;
       return Rogue_read;
+      return Spin;
     ]
 
 (* A hidden application page the extension must not touch. *)
@@ -88,7 +91,7 @@ let run_scenario backend scenario =
           (List.init n (fun _ ->
                match call ext "bump" 0 with
                | Ok (v, _) -> v
-               | Error e -> Alcotest.failf "bump: %a" User_ext.pp_call_error e))
+               | Error e -> Alcotest.failf "bump: %a" Pbackend.pp_call_error e))
     | Rogue_write -> (
         let ext = Pbackend.load app Ulib.rogue_write_image in
         let cell = private_cell app in
@@ -105,7 +108,27 @@ let run_scenario backend scenario =
         match call ext "peek" cell with
         | Ok (v, _) -> Values [ v ]
         | Error e -> Fault (neutral_fault e))
+    | Spin -> (
+        (* the shared abort path: watchdog expiry, SIGALRM, and an
+           application that keeps working afterwards *)
+        Pbackend.set_time_limit app 20_000;
+        let ext = Pbackend.load app Ulib.rogue_loop_image in
+        match call ext "spin" 0 with
+        | Ok (v, _) -> Values [ v ]
+        | Error e ->
+            check_bool "SIGALRM delivered" true
+              (List.exists
+                 (fun i -> i.Signal.signal = Signal.SIGALRM)
+                 (Signal.delivered (Pbackend.task app).Task.signals));
+            (match call (Pbackend.load app Ulib.null_image) "null_fn" 0 with
+            | Ok _ -> ()
+            | Error e ->
+                Alcotest.failf "call after timeout: %a" Pbackend.pp_call_error e);
+            Fault (neutral_fault e))
   in
+  if backend = Pbackend.Mpk then
+    check_int "PKRU restored to application rights" 0
+      (X86.Mmu.pkru (Cpu.mmu (Palladium.cpu w)));
   Palladium.teardown w;
   r
 
@@ -123,8 +146,10 @@ let prop_backends_agree =
       match (s, seg) with
       | Rogue_write, Fault "denied-write" -> true
       | Rogue_read, Fault "denied-read" -> true
-      | (Rogue_write | Rogue_read), o ->
-          QCheck.Test.fail_reportf "rogue access not denied: %s" (pp_outcome o)
+      | Spin, Fault "timeout" -> true
+      | (Rogue_write | Rogue_read | Spin), o ->
+          QCheck.Test.fail_reportf "rogue extension not contained: %s"
+            (pp_outcome o)
       | _ -> true)
 
 (* --- escape regressions ------------------------------------------------ *)
@@ -140,20 +165,20 @@ let test_wrong_key_store_faults () =
   let cell = private_cell app in
   Pbackend.poke_u32 app cell 0x5eed;
   (match Pbackend.call app ~prepare:poke ~arg:cell with
-  | Error (User_ext.Protection_fault (X86.Fault.Page_key { key; _ })) ->
-      check_int "faulting key is the application key" Mpk_ext.app_key key
-  | Error e -> Alcotest.failf "wrong fault: %a" User_ext.pp_call_error e
+  | Error (Pbackend.Protection_fault (X86.Fault.Page_key { key; _ })) ->
+      check_int "faulting key is the application key" Pbackend.app_key key
+  | Error e -> Alcotest.failf "wrong fault: %a" Pbackend.pp_call_error e
   | Ok _ -> Alcotest.fail "wrong-keyed store completed");
   check_int "cell survived the rogue store" 0x5eed (Pbackend.peek_u32 app cell);
   Pbackend.expose_range app ~addr:cell ~len:4;
   (match Pbackend.call app ~prepare:poke ~arg:cell with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "exposed store failed: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "exposed store failed: %a" Pbackend.pp_call_error e);
   check_int "exposed cell written" 0xdead (Pbackend.peek_u32 app cell);
   Pbackend.hide_range app ~addr:cell ~len:4;
   match Pbackend.call app ~prepare:poke ~arg:cell with
-  | Error (User_ext.Protection_fault (X86.Fault.Page_key _)) -> ()
-  | Error e -> Alcotest.failf "wrong fault after hide: %a" User_ext.pp_call_error e
+  | Error (Pbackend.Protection_fault (X86.Fault.Page_key _)) -> ()
+  | Error e -> Alcotest.failf "wrong fault after hide: %a" Pbackend.pp_call_error e
   | Ok _ -> Alcotest.fail "store completed after hide_range"
 
 let forged_wrpkru_image =
@@ -240,7 +265,7 @@ let test_mpk_transfer_cheaper () =
     let c =
       match Pbackend.call app ~prepare ~arg:0 with
       | Ok (_, cycles) -> cycles
-      | Error e -> Alcotest.failf "null call: %a" User_ext.pp_call_error e
+      | Error e -> Alcotest.failf "null call: %a" Pbackend.pp_call_error e
     in
     Palladium.teardown w;
     c
@@ -255,21 +280,47 @@ let test_mpk_transfer_cheaper () =
 let test_backend_selection () =
   let w = Palladium.boot ~backend:Pbackend.Mpk () in
   check_string "world backend" "mpk" (Pbackend.kind_name (Palladium.backend w));
-  (match Palladium.create_backend_app w ~name:"a" with
-  | Pbackend.Mpk_app _ -> ()
-  | Pbackend.Seg _ -> Alcotest.fail "world override ignored");
-  (match Palladium.create_backend_app ~backend:Pbackend.Segmentation w ~name:"b" with
-  | Pbackend.Seg _ -> ()
-  | Pbackend.Mpk_app _ -> Alcotest.fail "explicit backend ignored");
+  check_string "world override"
+    "mpk"
+    (Pbackend.kind_name
+       (Pbackend.backend_of (Palladium.create_backend_app w ~name:"a")));
+  check_string "explicit backend" "seg"
+    (Pbackend.kind_name
+       (Pbackend.backend_of
+          (Palladium.create_backend_app ~backend:Pbackend.Segmentation w
+             ~name:"b")));
   (* a plain boot follows the process default, whatever that is —
      CI runs this suite under PALLADIUM_BACKEND=seg and =mpk *)
   let plain = Palladium.boot () in
   check_string "default backend"
     (Pbackend.kind_name (Pbackend.default ()))
     (Pbackend.kind_name (Palladium.backend plain));
-  match Pbackend.kind_of_string "nonsense" with
-  | Some _ -> Alcotest.fail "nonsense backend parsed"
-  | None -> ()
+  List.iter
+    (fun s ->
+      match Pbackend.kind_of_string s with
+      | Some _ -> Alcotest.failf "%s parsed as a hosting backend" s
+      | None -> ())
+    [ "nonsense"; "sfi"; "sfi-full"; "sfi-verified" ]
+
+(* A negative size must not move the heap cursor below the extension
+   heap (rounding keeps it negative, so the exhaustion check alone
+   would pass it). *)
+let test_xmalloc_rejects_negative () =
+  List.iter
+    (fun backend ->
+      let w = Palladium.boot ~backend () in
+      let app = Palladium.create_backend_app w ~name:"heap" in
+      let ext = Pbackend.load app Ulib.null_image in
+      let first = Pbackend.xmalloc ext 8 in
+      (match Pbackend.xmalloc ext (-64) with
+      | exception Invalid_argument _ -> ()
+      | a -> Alcotest.failf "xmalloc (-64) returned %#x" a);
+      let next = Pbackend.xmalloc ext 4 in
+      check_int "cursor unchanged by the rejected call" (first + 8) next;
+      check_bool "allocation inside the extension heap" true
+        (next >= ext.Pbackend.x_heap_base && next + 4 <= ext.Pbackend.x_heap_end);
+      Palladium.teardown w)
+    Pbackend.all
 
 let () =
   Alcotest.run "backends"
@@ -294,4 +345,9 @@ let () =
         ] );
       ( "selection",
         [ Alcotest.test_case "backend selection layers" `Quick test_backend_selection ] );
+      ( "driver",
+        [
+          Alcotest.test_case "xmalloc rejects negative sizes" `Quick
+            test_xmalloc_rejects_negative;
+        ] );
     ]

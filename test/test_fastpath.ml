@@ -646,12 +646,12 @@ let test_protected_call_workload () =
   kernel_differential "protected calls" (fun () ->
       let w = Palladium.boot () in
       let app = Palladium.create_app w ~name:"app" in
-      let ext = User_ext.seg_dlopen app Ulib.counter_image in
-      let prepare = User_ext.seg_dlsym app ext "bump" in
+      let ext = Pbackend.load app Ulib.counter_image in
+      let prepare = Pbackend.resolve app ext "bump" in
       let call () =
-        match User_ext.call app ~prepare ~arg:0 with
+        match Pbackend.call app ~prepare ~arg:0 with
         | Ok (v, _) -> v
-        | Error e -> Alcotest.failf "bump failed: %a" User_ext.pp_call_error e
+        | Error e -> Alcotest.failf "bump failed: %a" Pbackend.pp_call_error e
       in
       ([ call (); call (); call () ], Kernel.cpu (Palladium.kernel w)))
 

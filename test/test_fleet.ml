@@ -133,11 +133,11 @@ let test_fleet_synthetic_determinism () =
 let palladium_world i =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:(Printf.sprintf "w%d" i) in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
   let calls = 3 + (i mod 2) in
   for _ = 1 to calls do
-    ignore (User_ext.call app ~prepare ~arg:42)
+    ignore (Pbackend.call app ~prepare ~arg:42)
   done;
   Palladium.teardown w;
   calls

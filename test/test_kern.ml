@@ -156,8 +156,8 @@ let test_asp_poke_peek () =
 
 let test_fork_inherits_exec_resets () =
   let k = Kernel.boot () in
-  let app = User_ext.create k ~name:"parent" in
-  let parent = User_ext.task app in
+  let app = Pbackend.create ~backend:Pbackend.Segmentation k ~name:"parent" in
+  let parent = Pbackend.task app in
   check_bool "parent promoted" true (Task.is_promoted parent);
   let child = Kernel.fork_task k parent in
   check_bool "child promoted (fork inherits SPL)" true (Task.is_promoted child);

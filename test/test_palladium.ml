@@ -15,7 +15,7 @@ let s32 v = if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
 let test_app_boots () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let task = User_ext.task app in
+  let task = Pbackend.task app in
   check_bool "promoted to SPL2" true (Task.is_promoted task);
   check_bool "address space promoted" true
     (Address_space.is_promoted task.Task.asp)
@@ -23,91 +23,91 @@ let test_app_boots () =
 let test_null_extension_call () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
-  match User_ext.call app ~prepare ~arg:42 with
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
+  match Pbackend.call app ~prepare ~arg:42 with
   | Ok (_value, cycles) ->
       check_bool "cycles positive" true (cycles > 0)
-  | Error e -> Alcotest.failf "call failed: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "call failed: %a" Pbackend.pp_call_error e
 
 let test_strrev_extension () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.strrev_image in
-  let prepare = User_ext.seg_dlsym app ext "strrev" in
+  let ext = Pbackend.load app Ulib.strrev_image in
+  let prepare = Pbackend.resolve app ext "strrev" in
   (* Shared buffer: allocated in the extension heap so both sides can
      touch it. *)
-  let buf = User_ext.xmalloc ext 64 in
-  User_ext.poke_bytes app buf (Bytes.of_string "hello world\000");
-  (match User_ext.call app ~prepare ~arg:buf with
+  let buf = Pbackend.xmalloc ext 64 in
+  Pbackend.poke_bytes app buf (Bytes.of_string "hello world\000");
+  (match Pbackend.call app ~prepare ~arg:buf with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "strrev failed: %a" User_ext.pp_call_error e);
-  let out = User_ext.peek_bytes app buf 11 in
+  | Error e -> Alcotest.failf "strrev failed: %a" Pbackend.pp_call_error e);
+  let out = Pbackend.peek_bytes app buf 11 in
   Alcotest.(check string) "reversed" "dlrow olleh" (Bytes.to_string out)
 
 let run_rogue image fn arg =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app image in
-  let prepare = User_ext.seg_dlsym app ext fn in
+  let ext = Pbackend.load app image in
+  let prepare = Pbackend.resolve app ext fn in
   let arg = arg app ext in
-  (app, User_ext.call app ~prepare ~arg)
+  (app, Pbackend.call app ~prepare ~arg)
 
 let test_rogue_write_app_data_segvs () =
   (* The rogue writes into the application's private data (PPL 0). *)
-  let app_data_addr (app : User_ext.t) _ext =
+  let app_data_addr (app : Pbackend.app) _ext =
     (* the SP2 slot page: application-private, writable, PPL 0 *)
     match
       List.find_opt
         (fun (a : Vm_area.t) -> a.Vm_area.label = "palladium.data")
-        (Address_space.areas (User_ext.task app).Task.asp)
+        (Address_space.areas (Pbackend.task app).Task.asp)
     with
     | Some a -> a.Vm_area.va_start
     | None -> Alcotest.fail "palladium.data area missing"
   in
   let app, result = run_rogue Ulib.rogue_write_image "poke" app_data_addr in
   (match result with
-  | Error (User_ext.Protection_fault f) ->
+  | Error (Pbackend.Protection_fault f) ->
       check_bool "page fault" true (X86.Fault.is_page_fault f)
   | Ok _ -> Alcotest.fail "rogue write succeeded!"
-  | Error e -> Alcotest.failf "unexpected error: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "unexpected error: %a" Pbackend.pp_call_error e);
   (* SIGSEGV was recorded against the task. *)
-  let task = User_ext.task app in
+  let task = Pbackend.task app in
   check_int "one segv" 1 (List.length (Signal.delivered task.Task.signals))
 
 let test_rogue_write_own_heap_ok () =
-  let own_heap _app ext = User_ext.xmalloc ext 16 in
+  let own_heap _app ext = Pbackend.xmalloc ext 16 in
   let _app, result = run_rogue Ulib.rogue_write_image "poke" own_heap in
   match result with
   | Ok (v, _) -> check_int "returned 1" 1 v
-  | Error e -> Alcotest.failf "write to own heap failed: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "write to own heap failed: %a" Pbackend.pp_call_error e
 
 let test_rogue_infinite_loop_times_out () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  User_ext.set_time_limit app 20_000;
-  let ext = User_ext.seg_dlopen app Ulib.rogue_loop_image in
-  let prepare = User_ext.seg_dlsym app ext "spin" in
-  match User_ext.call app ~prepare ~arg:0 with
-  | Error (User_ext.Time_limit_exceeded _) -> ()
+  Pbackend.set_time_limit app 20_000;
+  let ext = Pbackend.load app Ulib.rogue_loop_image in
+  let prepare = Pbackend.resolve app ext "spin" in
+  match Pbackend.call app ~prepare ~arg:0 with
+  | Error (Pbackend.Time_limit_exceeded _) -> ()
   | Ok _ -> Alcotest.fail "infinite loop returned?!"
-  | Error e -> Alcotest.failf "unexpected error: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "unexpected error: %a" Pbackend.pp_call_error e
 
 let test_rogue_syscall_rejected () =
   let _app, result = run_rogue Ulib.rogue_syscall_image "try_syscall" (fun _ _ -> 0) in
   match result with
   | Ok (v, _) -> check_int "EPERM" (Errno.to_ret Errno.EPERM) (s32 v)
-  | Error e -> Alcotest.failf "unexpected error: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "unexpected error: %a" Pbackend.pp_call_error e
 
 let test_extension_counter_state () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.counter_image in
-  let prepare = User_ext.seg_dlsym app ext "bump" in
+  let ext = Pbackend.load app Ulib.counter_image in
+  let prepare = Pbackend.resolve app ext "bump" in
   let call () =
-    match User_ext.call app ~prepare ~arg:0 with
+    match Pbackend.call app ~prepare ~arg:0 with
     | Ok (v, _) -> v
-    | Error e -> Alcotest.failf "bump failed: %a" User_ext.pp_call_error e
+    | Error e -> Alcotest.failf "bump failed: %a" Pbackend.pp_call_error e
   in
   check_int "first" 1 (call ());
   check_int "second" 2 (call ());
@@ -175,40 +175,40 @@ let test_extension_calls_libc_via_plt () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
   ignore
-    (Dyld.dlopen ~kernel:(User_ext.kernel app) ~task:(User_ext.task app)
-       ~env:(User_ext.env app) Ulib.libc_image);
-  let client = User_ext.seg_dlopen app Ulib.strlen_client_image in
-  let prepare = User_ext.seg_dlsym app client "len_of" in
-  let buf = User_ext.xmalloc client 32 in
-  User_ext.poke_bytes app buf (Bytes.of_string "seven!!\000");
-  match User_ext.call app ~prepare ~arg:buf with
+    (Dyld.dlopen ~kernel:(Pbackend.kernel app) ~task:(Pbackend.task app)
+       ~env:(Pbackend.env app) Ulib.libc_image);
+  let client = Pbackend.load app Ulib.strlen_client_image in
+  let prepare = Pbackend.resolve app client "len_of" in
+  let buf = Pbackend.xmalloc client 32 in
+  Pbackend.poke_bytes app buf (Bytes.of_string "seven!!\000");
+  match Pbackend.call app ~prepare ~arg:buf with
   | Ok (v, _) -> check_int "strlen through GOT/PLT from SPL3" 7 v
-  | Error e -> Alcotest.failf "plt call failed: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "plt call failed: %a" Pbackend.pp_call_error e
 
 let test_got_write_blocked () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
   ignore
-    (Dyld.dlopen ~kernel:(User_ext.kernel app) ~task:(User_ext.task app)
-       ~env:(User_ext.env app) Ulib.libc_image);
-  let client = User_ext.seg_dlopen app Ulib.strlen_client_image in
+    (Dyld.dlopen ~kernel:(Pbackend.kernel app) ~task:(Pbackend.task app)
+       ~env:(Pbackend.env app) Ulib.libc_image);
+  let client = Pbackend.load app Ulib.strlen_client_image in
   let got =
-    match client.User_ext.x_handle.Dyld.h_got_base with
+    match client.Pbackend.x_handle.Dyld.h_got_base with
     | Some g -> g
     | None -> Alcotest.fail "client has no GOT"
   in
-  let rogue = User_ext.seg_dlopen app Ulib.rogue_write_image in
-  let poke = User_ext.seg_dlsym app rogue "poke" in
-  (match User_ext.call app ~prepare:poke ~arg:got with
-  | Error (User_ext.Protection_fault (X86.Fault.Page_readonly _)) -> ()
+  let rogue = Pbackend.load app Ulib.rogue_write_image in
+  let poke = Pbackend.resolve app rogue "poke" in
+  (match Pbackend.call app ~prepare:poke ~arg:got with
+  | Error (Pbackend.Protection_fault (X86.Fault.Page_readonly _)) -> ()
   | Ok _ -> Alcotest.fail "GOT overwrite succeeded!"
-  | Error e -> Alcotest.failf "unexpected: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "unexpected: %a" Pbackend.pp_call_error e);
   (* but extensions can still *read* the GOT (they must, for the PLT) *)
-  let peek_ext = User_ext.seg_dlopen app Ulib.rogue_read_image in
-  let peek = User_ext.seg_dlsym app peek_ext "peek" in
-  match User_ext.call app ~prepare:peek ~arg:got with
+  let peek_ext = Pbackend.load app Ulib.rogue_read_image in
+  let peek = Pbackend.resolve app peek_ext "peek" in
+  match Pbackend.call app ~prepare:peek ~arg:got with
   | Ok (v, _) -> check_bool "GOT readable, bound" true (v <> 0)
-  | Error e -> Alcotest.failf "GOT read failed: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "GOT read failed: %a" Pbackend.pp_call_error e
 
 (* --- Application services ------------------------------------------------- *)
 
@@ -222,20 +222,20 @@ let test_application_service_from_extension () =
   let sel =
     User_ext.add_service app ~name:"log_value" ~handler:(fun ~args_base ->
         let app = Option.get !app_ref in
-        let v = User_ext.peek_u32 app args_base in
+        let v = Pbackend.peek_u32 app args_base in
         accumulated := v :: !accumulated;
         v + 1000)
   in
   app_ref := Some app;
   (* the client discovers the gate selector through a shared slot *)
-  let pre_ext = User_ext.seg_dlopen app Ulib.rogue_read_image in
-  let slot = User_ext.xmalloc pre_ext 4 in
-  User_ext.poke_u32 app slot sel;
-  let client = User_ext.seg_dlopen app (Ulib.service_client_image ~slot_addr:slot) in
-  let use = User_ext.seg_dlsym app client "use_service" in
-  (match User_ext.call app ~prepare:use ~arg:77 with
+  let pre_ext = Pbackend.load app Ulib.rogue_read_image in
+  let slot = Pbackend.xmalloc pre_ext 4 in
+  Pbackend.poke_u32 app slot sel;
+  let client = Pbackend.load app (Ulib.service_client_image ~slot_addr:slot) in
+  let use = Pbackend.resolve app client "use_service" in
+  (match Pbackend.call app ~prepare:use ~arg:77 with
   | Ok (v, _) -> check_int "service result returned to extension" 1077 v
-  | Error e -> Alcotest.failf "service call failed: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "service call failed: %a" Pbackend.pp_call_error e);
   Alcotest.(check (list int)) "service saw the argument" [ 77 ] !accumulated
 
 (* --- Guard (protected memory service) -------------------------------------- *)
@@ -265,13 +265,13 @@ let test_guard_bounds () =
 let test_fork_passes_extensions () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.counter_image in
-  let prepare = User_ext.seg_dlsym app ext "bump" in
-  (match User_ext.call app ~prepare ~arg:0 with
+  let ext = Pbackend.load app Ulib.counter_image in
+  let prepare = Pbackend.resolve app ext "bump" in
+  (match Pbackend.call app ~prepare ~arg:0 with
   | Ok (v, _) -> check_int "parent bump" 1 v
-  | Error e -> Alcotest.failf "parent call: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "parent call: %a" Pbackend.pp_call_error e);
   let kernel = Palladium.kernel w in
-  let child = Kernel.fork_task kernel (User_ext.task app) in
+  let child = Kernel.fork_task kernel (Pbackend.task app) in
   check_bool "child promoted" true (Task.is_promoted child);
   (* the child's address space has the extension areas, with PPLs *)
   let child_ext_areas =
@@ -360,18 +360,18 @@ let test_kernel_ext_timeout_aborts () =
 let test_seg_dlsym_caches_stubs () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let p1 = User_ext.seg_dlsym app ext "null_fn" in
-  let p2 = User_ext.seg_dlsym app ext "null_fn" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let p1 = Pbackend.resolve app ext "null_fn" in
+  let p2 = Pbackend.resolve app ext "null_fn" in
   check_int "same Prepare for the same function" p1 p2
 
 let test_xmalloc_exhaustion () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
+  let ext = Pbackend.load app Ulib.null_image in
   match
     for _ = 1 to 1000 do
-      ignore (User_ext.xmalloc ext 4096)
+      ignore (Pbackend.xmalloc ext 4096)
     done
   with
   | () -> Alcotest.fail "expected heap exhaustion"
@@ -380,30 +380,30 @@ let test_xmalloc_exhaustion () =
 let test_multiple_extensions_coexist () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let c = User_ext.seg_dlopen app Ulib.counter_image in
-  let s = User_ext.seg_dlopen app Ulib.strrev_image in
-  let bump = User_ext.seg_dlsym app c "bump" in
-  let rev = User_ext.seg_dlsym app s "strrev" in
-  let buf = User_ext.xmalloc s 16 in
-  User_ext.poke_bytes app buf (Bytes.of_string "ab\000");
-  (match User_ext.call app ~prepare:bump ~arg:0 with
+  let c = Pbackend.load app Ulib.counter_image in
+  let s = Pbackend.load app Ulib.strrev_image in
+  let bump = Pbackend.resolve app c "bump" in
+  let rev = Pbackend.resolve app s "strrev" in
+  let buf = Pbackend.xmalloc s 16 in
+  Pbackend.poke_bytes app buf (Bytes.of_string "ab\000");
+  (match Pbackend.call app ~prepare:bump ~arg:0 with
   | Ok (v, _) -> check_int "counter" 1 v
-  | Error e -> Alcotest.failf "bump: %a" User_ext.pp_call_error e);
-  (match User_ext.call app ~prepare:rev ~arg:buf with
+  | Error e -> Alcotest.failf "bump: %a" Pbackend.pp_call_error e);
+  (match Pbackend.call app ~prepare:rev ~arg:buf with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "rev: %a" User_ext.pp_call_error e);
+  | Error e -> Alcotest.failf "rev: %a" Pbackend.pp_call_error e);
   Alcotest.(check string)
     "both extensions worked" "ba"
-    (Bytes.to_string (User_ext.peek_bytes app buf 2));
-  check_int "call count tracked" 2 (User_ext.calls app)
+    (Bytes.to_string (Pbackend.peek_bytes app buf 2));
+  check_int "call count tracked" 2 (Pbackend.calls app)
 
 let test_protected_call_cost_bounds () =
   let w = Palladium.boot () in
   let app = Palladium.create_app w ~name:"app" in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
-  ignore (User_ext.call app ~prepare ~arg:0);
-  match User_ext.call app ~prepare ~arg:0 with
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
+  ignore (Pbackend.call app ~prepare ~arg:0);
+  match Pbackend.call app ~prepare ~arg:0 with
   | Ok (_, cycles) ->
       (* whole warm invocation incl. trampoline and hlt; the paper's
          protected call is ~142 cycles *)
@@ -411,7 +411,7 @@ let test_protected_call_cost_bounds () =
         (Printf.sprintf "warm call %d cycles within [140, 200]" cycles)
         true
         (cycles >= 140 && cycles <= 200)
-  | Error e -> Alcotest.failf "call: %a" User_ext.pp_call_error e
+  | Error e -> Alcotest.failf "call: %a" Pbackend.pp_call_error e
 
 let () =
   Alcotest.run "palladium"

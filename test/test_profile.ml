@@ -2,7 +2,8 @@
    profiling on and check that the span tree reconstructs the Figure 6
    control transfer — the Prepare stub, the privilege-lowering lret,
    the extension body, the lcall through AppCallGate and the final
-   return — and that the Chrome-trace exporter carries those phases. *)
+   return — and that the Chrome-trace exporter carries those phases.
+   The protection-key backend's five phases are checked the same way. *)
 
 module J = Obs.Json
 module S = Obs.Span
@@ -14,18 +15,20 @@ let check_int = Alcotest.(check int)
 
 let phase_names = [ "Prepare"; "lret"; "ext.body"; "lcall"; "ret" ]
 
-let profile_calls n =
+let mpk_phase_names = [ "Prepare"; "wrpkru.in"; "ext.body"; "wrpkru.out"; "ret" ]
+
+let profile_calls ?(backend = Pbackend.Segmentation) n =
   S.clear ();
   H.reset_all ();
   S.set_enabled true;
   let w = Palladium.boot () in
-  let app = Palladium.create_app w ~name:"prof" in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let app = Palladium.create_backend_app ~backend w ~name:"prof" in
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
   for _ = 1 to n do
-    match User_ext.call app ~prepare ~arg:1 with
+    match Pbackend.call app ~prepare ~arg:1 with
     | Ok _ -> ()
-    | Error e -> Alcotest.failf "protected call failed: %a" User_ext.pp_call_error e
+    | Error e -> Alcotest.failf "protected call failed: %a" Pbackend.pp_call_error e
   done;
   S.set_enabled false;
   S.spans ()
@@ -33,8 +36,8 @@ let profile_calls n =
 let spans_named name spans =
   List.filter (fun s -> String.equal s.S.sp_name name) spans
 
-let test_protected_call_span_tree () =
-  let spans = profile_calls 3 in
+let test_protected_call_span_tree backend phase_names () =
+  let spans = profile_calls ~backend 3 in
   let roots = spans_named "protected_call" spans in
   check_int "one root span per call" 3 (List.length roots);
   List.iter
@@ -57,10 +60,12 @@ let test_protected_call_span_tree () =
         phase_names)
     roots;
   (* the hardware ring crossings land under the same roots *)
-  check_bool "lret ring crossings captured" true
-    (List.length (spans_named "hw.lret" spans) >= 3);
-  check_bool "lcall ring crossings captured" true
-    (List.length (spans_named "hw.lcall" spans) >= 3);
+  if backend = Pbackend.Segmentation then begin
+    check_bool "lret ring crossings captured" true
+      (List.length (spans_named "hw.lret" spans) >= 3);
+    check_bool "lcall ring crossings captured" true
+      (List.length (spans_named "hw.lcall" spans) >= 3)
+  end;
   (* phase durations feed the per-name histograms *)
   List.iter
     (fun phase ->
@@ -138,10 +143,12 @@ let () =
       ( "protected-call",
         [
           Alcotest.test_case "span tree has the Figure 6 phases" `Quick
-            test_protected_call_span_tree;
+            (test_protected_call_span_tree Pbackend.Segmentation phase_names);
           Alcotest.test_case "chrome trace carries the phases" `Quick
             test_chrome_trace_carries_phases;
           Alcotest.test_case "phase budget consistency" `Quick
             test_phase_budget_consistency;
+          Alcotest.test_case "span tree has the mpk phases" `Quick
+            (test_protected_call_span_tree Pbackend.Mpk mpk_phase_names);
         ] );
     ]
