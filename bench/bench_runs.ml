@@ -33,8 +33,6 @@ let boot_app () =
   let app = Palladium.create_app w ~name:"bench" in
   (w, app)
 
-let marks_of cpu = Cpu.marks cpu
-
 let find_mark marks suffix =
   match
     List.find_opt (fun (n, _) -> Filename.check_suffix n suffix) marks
@@ -54,14 +52,18 @@ let call_overhead marks =
   let setup, _, body, return, _, done_ = call_bounds marks in
   done_ - setup - (return - body)
 
-(* One protected null call, returning the mark trace. *)
-let protected_null_call_marks app prepare =
+(* The marks one call stamped: the window since the count before it. *)
+let marks_of_call app call =
   let cpu = Kernel.cpu (Pbackend.kernel app) in
-  Cpu.clear_marks cpu;
-  (match Pbackend.call app ~prepare ~arg:1 with
+  let seq = Cpu.mark_seq cpu in
+  (match call () with
   | Ok _ -> ()
-  | Error e -> Fmt.failwith "protected call failed: %a" Pbackend.pp_call_error e);
-  marks_of cpu
+  | Error e -> Fmt.failwith "call failed: %a" Pbackend.pp_call_error e);
+  Cpu.marks_since cpu seq
+
+(* One protected null call, returning the marks it stamped. *)
+let protected_null_call_marks app prepare =
+  marks_of_call app (fun () -> Pbackend.call app ~prepare ~arg:1)
 
 type t1 = {
   t1_setup : int;
@@ -97,12 +99,7 @@ let measure_intra () =
   (* plain local call to the loaded function: no stubs involved *)
   let fn = Pbackend.dlsym_data ext "null_fn" in
   let probe () =
-    let cpu = Kernel.cpu (Pbackend.kernel app) in
-    Cpu.clear_marks cpu;
-    (match Pbackend.call_unprotected app ~fn ~arg:1 with
-    | Ok _ -> ()
-    | Error e -> Fmt.failwith "intra call failed: %a" Pbackend.pp_call_error e);
-    marks_of cpu
+    marks_of_call app (fun () -> Pbackend.call_unprotected app ~fn ~arg:1)
   in
   ignore (probe ());
   let marks = probe () in

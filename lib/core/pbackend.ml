@@ -406,7 +406,7 @@ let call t ~prepare ~arg =
   let wd = Kernel.watchdog t.kernel in
   let cpu = Kernel.cpu t.kernel in
   let span_on = Obs.Span.on () in
-  let marks_before = if span_on then List.length (Cpu.marks cpu) else 0 in
+  let mark_seq = Cpu.mark_seq cpu in
   if span_on then
     Obs.Span.begin_ "protected_call"
       ~args:[ ("prepare", Printf.sprintf "%#x" prepare) ]
@@ -420,8 +420,7 @@ let call t ~prepare ~arg =
   | Kernel.Faulted _ | Kernel.Timed_out _ | Kernel.Out_of_fuel ->
       t.b.on_abort cpu);
   if span_on then begin
-    record_phase_spans t.b.phase_names
-      (List.filteri (fun i _ -> i >= marks_before) (Cpu.marks cpu));
+    record_phase_spans t.b.phase_names (Cpu.marks_since cpu mark_seq);
     Obs.Span.end_ "protected_call" ~at:(Cpu.cycles cpu)
   end;
   if Obs.Trace.on () then

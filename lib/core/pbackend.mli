@@ -142,7 +142,7 @@ val call_unprotected : app -> fn:int -> arg:int -> (int * int, call_error) resul
 val phase_bounds : (string * int) list -> int option list
 (** The six boundaries of one protected call — setup, call, body,
     return, restore, done — recovered from the [Mark] stamps it left
-    ({!Cpu.marks} over that call); [None] for a boundary it never
+    ({!Cpu.marks_since} the call's start); [None] for a boundary it never
     reached.  The spans between them are the Table 1 phases. *)
 
 (** {2 Exposing memory} *)

@@ -43,8 +43,7 @@ type t = {
   uds : Sel.t;
   syscall_entry : int; (* kernel-segment offset of the int-0x80 stub *)
   invoke_entry : int; (* kernel trampoline: call fn ptr in EAX, arg EBX *)
-  mutable segv_log : (int * Signal.info) list;
-  mutable kernel_ext_faults : string list;
+  segv_log : (int * Signal.info) Obs.Ring.t; (* (pid, info), newest kept *)
   (* per-kernel policy knobs ("verify"/"audit" -> "off"|"warn"|"reject"),
      overriding the process defaults for this world only *)
   policy_overrides : (string, string) Hashtbl.t;
@@ -103,9 +102,7 @@ let user_code_selector t = t.ucs
 
 let user_data_selector t = t.uds
 
-let segv_log t = List.rev t.segv_log
-
-let kernel_ext_faults t = List.rev t.kernel_ext_faults
+let segv_log t = Obs.Ring.to_list t.segv_log
 
 let current t = t.current
 
@@ -210,12 +207,11 @@ let install_fault_hook t =
          match outcome with
          | Page_fault.Repaired -> Cpu.Fault_continue
          | Page_fault.Deliver_segv info ->
-             t.segv_log <- (task.Task.pid, info) :: t.segv_log;
+             Obs.Ring.push t.segv_log (task.Task.pid, info);
              Obs.Counters.incr c_sigsegv;
              ignore (Signal.deliver task.Task.signals info);
              Cpu.Fault_stop
-         | Page_fault.Kernel_ext_fault reason ->
-             t.kernel_ext_faults <- reason :: t.kernel_ext_faults;
+         | Page_fault.Kernel_ext_fault _ ->
              Obs.Counters.incr c_ext_faults;
              Cpu.Fault_stop
          | Page_fault.Panic msg -> raise (Panic msg)))
@@ -712,8 +708,7 @@ let boot ?(params = Cycles.pentium) () =
       uds;
       syscall_entry = 0;
       invoke_entry = 0;
-      segv_log = [];
-      kernel_ext_faults = [];
+      segv_log = Obs.Ring.create Signal.log_capacity;
       policy_overrides = Hashtbl.create 4;
       ext_state = Hashtbl.create 4;
     }

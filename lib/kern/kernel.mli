@@ -79,9 +79,8 @@ val user_code_selector : t -> X86.Selector.t
 val user_data_selector : t -> X86.Selector.t
 
 val segv_log : t -> (int * Signal.info) list
-(** (pid, info) of every SIGSEGV delivered, oldest first. *)
-
-val kernel_ext_faults : t -> string list
+(** (pid, info) of the newest {!Signal.log_capacity} SIGSEGVs
+    delivered, oldest first; the [kern.sigsegv] counter counts all. *)
 
 val current : t -> Task.t option
 

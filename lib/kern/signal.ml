@@ -25,10 +25,13 @@ type handler = info -> unit
 
 type state = {
   handlers : (int, handler) Hashtbl.t;
-  mutable delivered : info list; (* newest first; for inspection *)
+  delivered : info Obs.Ring.t; (* for inspection *)
 }
 
-let create_state () = { handlers = Hashtbl.create 4; delivered = [] }
+let log_capacity = 64 (* bounds [delivered] and the kernel's SIGSEGV log *)
+
+let create_state () =
+  { handlers = Hashtbl.create 4; delivered = Obs.Ring.create log_capacity }
 
 let install state signal handler =
   Hashtbl.replace state.handlers (number signal) handler
@@ -36,13 +39,11 @@ let install state signal handler =
 let uninstall state signal = Hashtbl.remove state.handlers (number signal)
 
 let deliver state info =
-  state.delivered <- info :: state.delivered;
+  Obs.Ring.push state.delivered info;
   match Hashtbl.find_opt state.handlers (number info.signal) with
   | Some h ->
       h info;
       true
   | None -> false
 
-let delivered state = List.rev state.delivered
-
-let clear_delivered state = state.delivered <- []
+let delivered state = Obs.Ring.to_list state.delivered

@@ -26,6 +26,7 @@ val deliver : state -> info -> bool
 (** Record and dispatch; [true] when a handler was installed. *)
 
 val delivered : state -> info list
-(** All deliveries, oldest first. *)
+(** The newest {!log_capacity} deliveries, oldest first. *)
 
-val clear_delivered : state -> unit
+val log_capacity : int
+(** Bound of every signal log, {!Kernel.segv_log} included. *)

@@ -44,10 +44,12 @@ type stop = Halted | Max_instructions | Fault_abort of F.t
 
 type engine = Interp | Blocks
 
-(* Instruction-trace ring capacity (mirrors Obs.Trace's bounded ring):
-   tracing long runs keeps the newest entries instead of growing a
-   cons list linearly in instruction count. *)
+(* Bounded rings for the instruction trace and the phase marks: long
+   runs keep the newest entries in constant memory.  A protected call
+   stamps 7 marks, so the mark ring holds the last several calls. *)
 let trace_capacity = 256
+
+let mark_capacity = 64
 
 type t = {
   mmu : X86.Mmu.t;
@@ -66,15 +68,12 @@ type t = {
   mutable cycles : int;
   mutable instructions : int;
   mutable halted : bool;
-  mutable marks : (string * int) list; (* newest first *)
+  marks : (string * int) Obs.Ring.t; (* (name, cycle count at the mark) *)
   handlers : (string, t -> unit) Hashtbl.t;
   mutable on_fault : (t -> F.t -> fault_action) option;
   mutable on_instr : (t -> unit) option;
   mutable fault_count : int;
-  (* bounded instruction-trace ring, newest at (trace_pos - 1) *)
-  trace_buf : (int * Instr.t) array;
-  mutable trace_pos : int;
-  mutable trace_len : int;
+  trace : (int * Instr.t) Obs.Ring.t; (* (eip, instruction) *)
   mutable tracing : bool;
   (* block-engine hooks: [block_dispatch] (installed by Bexec.attach)
      executes cached basic blocks when [engine = Blocks]; [cache_epoch]
@@ -127,14 +126,12 @@ let create ~mmu ~code ~view ~idt ~tss ?(params = Cycles.pentium) () =
     cycles = 0;
     instructions = 0;
     halted = false;
-    marks = [];
+    marks = Obs.Ring.create mark_capacity;
     handlers = Hashtbl.create 16;
     on_fault = None;
     on_instr = None;
     fault_count = 0;
-    trace_buf = Array.make trace_capacity (0, Instr.Nop);
-    trace_pos = 0;
-    trace_len = 0;
+    trace = Obs.Ring.create trace_capacity;
     tracing = false;
     engine = Interp;
     block_dispatch = None;
@@ -224,9 +221,11 @@ let code t = t.code
 
 let params t = t.params
 
-let marks t = List.rev t.marks
+let marks t = Obs.Ring.to_list t.marks
 
-let clear_marks t = t.marks <- []
+let mark_seq t = Obs.Ring.pushed t.marks
+
+let marks_since t seq = Obs.Ring.since t.marks seq
 
 let register_handler t name f = Hashtbl.replace t.handlers name f
 
@@ -238,17 +237,10 @@ let set_tracing t v = t.tracing <- v
 
 let tracing t = t.tracing
 
-let trace_push t eip instr =
-  t.trace_buf.(t.trace_pos) <- (eip, instr);
-  t.trace_pos <- (t.trace_pos + 1) mod trace_capacity;
-  if t.trace_len < trace_capacity then t.trace_len <- t.trace_len + 1
+let trace_push t eip instr = Obs.Ring.push t.trace (eip, instr)
 
-(* The newest [n] traced instructions in program order, as before the
-   ring: the list is capped at the ring capacity. *)
 let recent_trace ?(n = 32) t =
-  let m = min n t.trace_len in
-  List.init m (fun i ->
-      t.trace_buf.((t.trace_pos - m + i + trace_capacity) mod trace_capacity))
+  Obs.Ring.since t.trace (Obs.Ring.pushed t.trace - n)
 
 (* --- Segment register access ------------------------------------- *)
 
@@ -701,7 +693,7 @@ let exec t instr =
       t.halted <- true;
       fallthrough ()
   | Instr.Mark name ->
-      t.marks <- (name, t.cycles) :: t.marks;
+      Obs.Ring.push t.marks (name, t.cycles);
       fallthrough ()
   | Instr.Work n ->
       charge t n;

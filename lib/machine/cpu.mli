@@ -72,9 +72,16 @@ val null_loaded : X86.Segmentation.loaded
 (** {2 Phase marks (cycle attribution)} *)
 
 val marks : t -> (string * int) list
-(** [(name, cycle-count-at-mark)] in program order. *)
+(** [(name, cycle-count-at-mark)] of the newest {!mark_capacity}
+    marks, in program order. *)
 
-val clear_marks : t -> unit
+val mark_capacity : int
+
+val mark_seq : t -> int
+(** Marks executed so far.  A call's marks are
+    [marks_since t seq] with [seq] read before the call. *)
+
+val marks_since : t -> int -> (string * int) list
 
 (** {2 Hooks} *)
 

@@ -154,7 +154,7 @@ let find_histogram t name = Hashtbl.find_opt t.sk_hists name
 
 let spans t = Span_state.spans t.sk_spans
 
-let trace_events t = Trace_state.events t.sk_trace
+let trace_events t = Ring.to_list t.sk_trace.Trace_state.entries
 
 (* --- Join-time aggregation ------------------------------------------- *)
 
@@ -189,8 +189,7 @@ let merge ?(traces = `Last) ~into src =
   | `Last ->
       List.iter
         (fun (e : Trace_state.entry) ->
-          Trace_state.emit ~cycles:e.Trace_state.at_cycles into.sk_trace
-            e.Trace_state.event)
-        (Trace_state.events src.sk_trace);
-      Trace_state.add_dropped into.sk_trace (Trace_state.dropped src.sk_trace));
+          Trace_state.emit ~cycles:e.at_cycles into.sk_trace e.event)
+        (trace_events src);
+      Ring.add_dropped into.sk_trace.entries (Ring.dropped src.sk_trace.entries));
   Span_state.absorb into.sk_spans src.sk_spans

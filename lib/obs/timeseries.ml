@@ -27,14 +27,7 @@ type value =
 
 type point = { p_t : int; p_v : value }
 
-type series = {
-  sr_buf : point option array;
-  mutable sr_next : int; (* next write slot *)
-  mutable sr_len : int;
-  mutable sr_dropped : int;
-}
-
-type t = { ts_capacity : int; ts_tbl : (string, series) Hashtbl.t }
+type t = { ts_capacity : int; ts_tbl : (string, point Ring.t) Hashtbl.t }
 
 let create ?(capacity = 4096) () =
   if capacity < 1 then invalid_arg "Timeseries.create: capacity must be >= 1";
@@ -46,56 +39,28 @@ let series t name =
   match Hashtbl.find_opt t.ts_tbl name with
   | Some s -> s
   | None ->
-      let s =
-        {
-          sr_buf = Array.make t.ts_capacity None;
-          sr_next = 0;
-          sr_len = 0;
-          sr_dropped = 0;
-        }
-      in
+      let s = Ring.create t.ts_capacity in
       Hashtbl.add t.ts_tbl name s;
       s
 
-let push s p =
-  if s.sr_len = Array.length s.sr_buf then s.sr_dropped <- s.sr_dropped + 1
-  else s.sr_len <- s.sr_len + 1;
-  s.sr_buf.(s.sr_next) <- Some p;
-  s.sr_next <- (s.sr_next + 1) mod Array.length s.sr_buf
-
-let append t ~name ~at v = push (series t name) { p_t = at; p_v = v }
+let append t ~name ~at v = Ring.push (series t name) { p_t = at; p_v = v }
 
 let names t =
   Hashtbl.fold (fun n _ acc -> n :: acc) t.ts_tbl [] |> List.sort compare
 
-let points t name =
-  match Hashtbl.find_opt t.ts_tbl name with
-  | None -> []
-  | Some s ->
-      let cap = Array.length s.sr_buf in
-      let start = (s.sr_next - s.sr_len + cap) mod cap in
-      List.init s.sr_len (fun i ->
-          match s.sr_buf.((start + i) mod cap) with
-          | Some p -> p
-          | None -> assert false)
+let on_series t name ~absent f =
+  Option.fold ~none:absent ~some:f (Hashtbl.find_opt t.ts_tbl name)
+
+let points t name = on_series t name ~absent:[] Ring.to_list
 
 let points_since t name ~after =
   List.filter (fun p -> p.p_t > after) (points t name)
 
-let last t name =
-  match Hashtbl.find_opt t.ts_tbl name with
-  | None -> None
-  | Some s ->
-      if s.sr_len = 0 then None
-      else
-        let cap = Array.length s.sr_buf in
-        s.sr_buf.((s.sr_next - 1 + cap) mod cap)
+let last t name = on_series t name ~absent:None Ring.last
 
-let length t name =
-  match Hashtbl.find_opt t.ts_tbl name with None -> 0 | Some s -> s.sr_len
+let length t name = on_series t name ~absent:0 Ring.length
 
-let dropped t name =
-  match Hashtbl.find_opt t.ts_tbl name with None -> 0 | Some s -> s.sr_dropped
+let dropped t name = on_series t name ~absent:0 Ring.dropped
 
 (* --- Sample-exact merge ---------------------------------------------- *)
 
@@ -174,11 +139,10 @@ let merge ~into src =
     (fun name ->
       let merged = merge_points name (points into name) (points src name) in
       let s = series into name in
-      Array.fill s.sr_buf 0 (Array.length s.sr_buf) None;
-      s.sr_next <- 0;
-      s.sr_len <- 0;
-      s.sr_dropped <- s.sr_dropped + dropped src name;
-      List.iter (push s) merged)
+      let carried = Ring.dropped s + dropped src name in
+      Ring.clear s;
+      Ring.add_dropped s carried;
+      List.iter (Ring.push s) merged)
     union
 
 (* --- JSON -------------------------------------------------------------- *)

@@ -8,8 +8,8 @@
    libraries that publish into it (rings are carried as their integer
    privilege level).
 
-   The ring itself lives in the current domain's {!Sink}
-   ({!Trace_state} holds the mechanics); this module is the facade
+   The ring itself (a {!Ring}) lives in the current domain's {!Sink}
+   ({!Trace_state} holds it); this module is the facade
    that keeps the classic global-looking API working while N worlds
    trace concurrently into their own rings. *)
 
@@ -29,26 +29,28 @@ type entry = Trace_state.entry = { seq : int; at_cycles : int; event : event }
 
 let ring () = Sink.trace (Sink.current ())
 
+let entries () = (ring ()).Trace_state.entries
+
 let on () = (ring ()).Trace_state.enabled
 
 let set_enabled b = (ring ()).Trace_state.enabled <- b
 
-let capacity () = Trace_state.capacity (ring ())
+let capacity () = Ring.capacity (entries ())
 
-let clear () = Trace_state.clear (ring ())
+let clear () = Ring.clear (entries ())
 
 (* Oldest first. *)
-let events () = Trace_state.events (ring ())
+let events () = Ring.to_list (entries ())
 
-let set_capacity n = Trace_state.set_capacity (ring ()) n
+let set_capacity n = Ring.resize (entries ()) n
 
 let emit ?cycles event =
   let r = ring () in
   if r.Trace_state.enabled then Trace_state.emit ?cycles r event
 
-let dropped () = Trace_state.dropped (ring ())
+let dropped () = Ring.dropped (entries ())
 
-let length () = Trace_state.length (ring ())
+let length () = Ring.length (entries ())
 
 (* Short machine-readable tag of an event's family, used by the CLI's
    --filter and the JSON emission. *)

@@ -21,6 +21,8 @@ type event =
   | Custom of string
 
 type entry = { seq : int; at_cycles : int; event : event }
+(** [seq] is the entry's push number in the ring since the last
+    {!clear}. *)
 
 val on : unit -> bool
 

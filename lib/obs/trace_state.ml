@@ -1,11 +1,11 @@
-(* Ring-buffer state of the event tracer, one ring per {!Sink}.
+(* Per-sink state of the event tracer: one {!Ring} of entries per
+   {!Sink}, plus its enabled flag.
 
-   This module holds the event vocabulary and the pure ring mechanics;
-   {!Trace} is the facade that routes the classic global-looking API
-   through the current sink's ring.  Ring operations here are
-   unconditional — enabling/disabling is the facade's concern — so
-   {!Sink.merge} can replay one ring into another regardless of the
-   destination's enabled flag. *)
+   This module holds the event vocabulary; {!Trace} is the facade that
+   routes the classic global-looking API through the current sink's
+   ring.  [emit] here is unconditional — enabling/disabling is the
+   facade's concern — so {!Sink.merge} can replay one ring into
+   another regardless of the destination's enabled flag. *)
 
 type event =
   | Priv_transition of { from_ring : int; to_ring : int; via : string }
@@ -21,73 +21,13 @@ type event =
 
 type entry = { seq : int; at_cycles : int; event : event }
 
-type ring = {
-  mutable enabled : bool;
-  mutable slots : entry option array;
-  mutable next : int; (* index of the slot the next entry goes into *)
-  mutable stored : int;
-  mutable seq : int;
-  mutable dropped : int;
-}
+type ring = { mutable enabled : bool; entries : entry Ring.t }
 
 let default_capacity = 1024
 
-let create_ring capacity =
-  {
-    enabled = false;
-    slots = Array.make capacity None;
-    next = 0;
-    stored = 0;
-    seq = 0;
-    dropped = 0;
-  }
+let create_ring capacity = { enabled = false; entries = Ring.create capacity }
 
-let capacity ring = Array.length ring.slots
-
-let clear ring =
-  Array.fill ring.slots 0 (Array.length ring.slots) None;
-  ring.next <- 0;
-  ring.stored <- 0;
-  ring.seq <- 0;
-  ring.dropped <- 0
-
-(* Oldest first. *)
-let events ring =
-  let cap = Array.length ring.slots in
-  let start = (ring.next - ring.stored + cap) mod cap in
-  List.init ring.stored (fun i ->
-      match ring.slots.((start + i) mod cap) with
-      | Some e -> e
-      | None -> assert false)
-
-(* Reallocate the ring, carrying the newest min(length, n) buffered
-   entries over; entries that no longer fit count as dropped. *)
-let set_capacity ring n =
-  if n <= 0 then invalid_arg "Trace.set_capacity";
-  let buffered = events ring in
-  let keep = min ring.stored n in
-  let survivors =
-    (* newest [keep] of the buffered entries, still oldest-first *)
-    List.filteri (fun i _ -> i >= List.length buffered - keep) buffered
-  in
-  ring.slots <- Array.make n None;
-  List.iteri (fun i e -> ring.slots.(i) <- Some e) survivors;
-  ring.next <- keep mod n;
-  ring.stored <- keep;
-  ring.dropped <- ring.dropped + (List.length buffered - keep)
-
-(* Unconditional store (overwrites the oldest entry when full); the
-   facade checks [enabled] before constructing the event. *)
+(* An entry's [seq] is its push number in the ring. *)
 let emit ?(cycles = 0) ring event =
-  let cap = Array.length ring.slots in
-  if ring.stored = cap then ring.dropped <- ring.dropped + 1
-  else ring.stored <- ring.stored + 1;
-  ring.slots.(ring.next) <- Some { seq = ring.seq; at_cycles = cycles; event };
-  ring.next <- (ring.next + 1) mod cap;
-  ring.seq <- ring.seq + 1
-
-let add_dropped ring n = ring.dropped <- ring.dropped + n
-
-let dropped ring = ring.dropped
-
-let length ring = ring.stored
+  let r = ring.entries in
+  Ring.push r { seq = Ring.pushed r; at_cycles = cycles; event }

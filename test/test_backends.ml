@@ -322,6 +322,49 @@ let test_xmalloc_rejects_negative () =
       Palladium.teardown w)
     Pbackend.all
 
+(* Long runs keep bounded logs: 100k warm protected calls leave at most
+   a ring's worth of marks (while the mark sequence still counts all
+   7 per call), and more rogue stores than the fault logs hold leave
+   those logs at capacity. *)
+let test_logs_stay_bounded () =
+  List.iter
+    (fun backend ->
+      let w = Palladium.boot ~backend () in
+      let app = Palladium.create_backend_app w ~name:"bounded" in
+      let cpu = Palladium.cpu w in
+      let ext = Pbackend.load app Ulib.null_image in
+      let prepare = Pbackend.resolve app ext "null_fn" in
+      let call () =
+        match Pbackend.call app ~prepare ~arg:1 with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "null call: %a" Pbackend.pp_call_error e
+      in
+      call ();
+      let calls = 100_000 in
+      let seq0 = Cpu.mark_seq cpu in
+      for _ = 1 to calls do
+        call ()
+      done;
+      check_int "7 marks per call" (7 * calls) (Cpu.mark_seq cpu - seq0);
+      check_bool "marks bounded" true
+        (List.length (Cpu.marks cpu) <= Cpu.mark_capacity);
+      check_int "last call's window" 7
+        (List.length (Cpu.marks_since cpu (Cpu.mark_seq cpu - 7)));
+      let rogue = Pbackend.load app Ulib.rogue_write_image in
+      let poke = Pbackend.resolve app rogue "poke" in
+      let cell = private_cell app in
+      for _ = 1 to Signal.log_capacity + 16 do
+        match Pbackend.call app ~prepare:poke ~arg:cell with
+        | Ok _ -> Alcotest.fail "rogue store completed"
+        | Error _ -> ()
+      done;
+      check_int "segv log at capacity" Signal.log_capacity
+        (List.length (Kernel.segv_log (Palladium.kernel w)));
+      check_int "delivered signals at capacity" Signal.log_capacity
+        (List.length (Signal.delivered (Pbackend.task app).Task.signals));
+      Palladium.teardown w)
+    Pbackend.all
+
 let () =
   Alcotest.run "backends"
     [
@@ -349,5 +392,10 @@ let () =
         [
           Alcotest.test_case "xmalloc rejects negative sizes" `Quick
             test_xmalloc_rejects_negative;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "marks and fault logs stay bounded" `Quick
+            test_logs_stay_bounded;
         ] );
     ]

@@ -109,6 +109,7 @@ type obs = {
   o_faults : int;
   o_halted : bool;
   o_marks : (string * int) list;
+  o_mark_seq : int; (* every mark executed, not only the buffered window *)
   o_trace : (int * string) list;
   o_counters : (string * int) list;
 }
@@ -144,6 +145,7 @@ let observe engine scenario =
         o_faults = Cpu.fault_count w.cpu;
         o_halted = Cpu.halted w.cpu;
         o_marks = Cpu.marks w.cpu;
+        o_mark_seq = Cpu.mark_seq w.cpu;
         o_trace =
           List.map
             (fun (eip, ins) -> (eip, Fmt.str "%a" Instr.pp ins))
@@ -160,6 +162,7 @@ let check_obs name (a : obs) (b : obs) =
   check_int (name ^ ": instructions") a.o_instrs b.o_instrs;
   check_int (name ^ ": faults") a.o_faults b.o_faults;
   Alcotest.(check (list (pair string int))) (name ^ ": marks") a.o_marks b.o_marks;
+  check_int (name ^ ": marks executed") a.o_mark_seq b.o_mark_seq;
   Alcotest.(check (list (pair int string))) (name ^ ": trace") a.o_trace b.o_trace;
   Alcotest.(check (list (pair string int)))
     (name ^ ": counters") a.o_counters b.o_counters;

@@ -119,6 +119,71 @@ let test_trace_set_capacity_preserves () =
   T.set_capacity 1024;
   T.clear ()
 
+(* Obs.Ring against a list model: the model keeps the buffered
+   (push number, value) pairs oldest first, plus the push and drop
+   counts. *)
+type ring_op = Push of int | Resize of int | Clear
+
+let pp_ring_op = function
+  | Push v -> Printf.sprintf "Push %d" v
+  | Resize n -> Printf.sprintf "Resize %d" n
+  | Clear -> "Clear"
+
+let ring_ops_gen =
+  let open QCheck.Gen in
+  list_size (int_bound 60)
+    (frequency
+       [
+         (8, map (fun v -> Push v) small_nat);
+         (2, map (fun n -> Resize n) (int_range 1 8));
+         (1, return Clear);
+       ])
+
+let prop_ring_model =
+  QCheck.Test.make ~count:300 ~name:"ring matches a list model"
+    (QCheck.make ring_ops_gen ~print:(fun ops ->
+         String.concat "; " (List.map pp_ring_op ops)))
+    (fun ops ->
+      let r = Obs.Ring.create 4 in
+      let cap = ref 4 and buf = ref [] and pushed = ref 0 and dropped = ref 0 in
+      let keep_newest n =
+        let excess = List.length !buf - n in
+        if excess > 0 then begin
+          buf := drop_first excess !buf;
+          dropped := !dropped + excess
+        end
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push v ->
+              Obs.Ring.push r v;
+              buf := !buf @ [ (!pushed, v) ];
+              incr pushed;
+              keep_newest !cap
+          | Resize n ->
+              Obs.Ring.resize r n;
+              cap := n;
+              keep_newest n
+          | Clear ->
+              Obs.Ring.clear r;
+              buf := [];
+              pushed := 0;
+              dropped := 0);
+          let since s =
+            List.filter_map (fun (i, v) -> if i >= s then Some v else None) !buf
+          in
+          Obs.Ring.to_list r = List.map snd !buf
+          && Obs.Ring.pushed r = !pushed
+          && Obs.Ring.dropped r = !dropped
+          && Obs.Ring.length r = List.length !buf
+          && Obs.Ring.capacity r = !cap
+          && Obs.Ring.last r = Option.map snd (List.nth_opt (List.rev !buf) 0)
+          && List.for_all
+               (fun s -> Obs.Ring.since r s = since s)
+               (List.init (!cap + 4) (fun k -> !pushed + 1 - k)))
+        ops)
+
 let test_trace_event_rendering () =
   let s =
     Fmt.str "%a" T.pp_event
@@ -517,6 +582,7 @@ let () =
           Alcotest.test_case "set_capacity preserves newest" `Quick
             test_trace_set_capacity_preserves;
           Alcotest.test_case "event rendering" `Quick test_trace_event_rendering;
+          QCheck_alcotest.to_alcotest prop_ring_model;
         ] );
       ( "histogram",
         [
