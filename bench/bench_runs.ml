@@ -40,30 +40,9 @@ let find_mark marks suffix =
   | Some (_, c) -> c
   | None -> failwith ("mark not found: " ^ suffix)
 
-(* The Table 1 boundaries of one protected call (setup, call, body,
-   return, restore, done); fails loudly when a mark is missing. *)
-let call_bounds marks =
-  match Pbackend.phase_bounds marks with
-  | [ Some s; Some c; Some b; Some r; Some rs; Some d ] -> (s, c, b, r, rs, d)
-  | _ -> failwith "protected call left an incomplete set of phase marks"
-
-(* The Table 1 total of one call: every phase but the extension body. *)
-let call_overhead marks =
-  let setup, _, body, return, _, done_ = call_bounds marks in
-  done_ - setup - (return - body)
-
-(* The marks one call stamped: the window since the count before it. *)
-let marks_of_call app call =
-  let cpu = Kernel.cpu (Pbackend.kernel app) in
-  let seq = Cpu.mark_seq cpu in
-  (match call () with
-  | Ok _ -> ()
-  | Error e -> Fmt.failwith "call failed: %a" Pbackend.pp_call_error e);
-  Cpu.marks_since cpu seq
-
 (* One protected null call, returning the marks it stamped. *)
 let protected_null_call_marks app prepare =
-  marks_of_call app (fun () -> Pbackend.call app ~prepare ~arg:1)
+  Workload.marks_of_call app (fun () -> Pbackend.call app ~prepare ~arg:1)
 
 type t1 = {
   t1_setup : int;
@@ -82,7 +61,7 @@ let measure_inter () =
   let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
   let setup, call, body, return, restore, done_ =
-    call_bounds (protected_null_call_marks app prepare)
+    Workload.call_bounds (protected_null_call_marks app prepare)
   in
   {
     t1_setup = call - setup;
@@ -99,7 +78,8 @@ let measure_intra () =
   (* plain local call to the loaded function: no stubs involved *)
   let fn = Pbackend.dlsym_data ext "null_fn" in
   let probe () =
-    marks_of_call app (fun () -> Pbackend.call_unprotected app ~fn ~arg:1)
+    Workload.marks_of_call app (fun () ->
+        Pbackend.call_unprotected app ~fn ~arg:1)
   in
   ignore (probe ());
   let marks = probe () in
@@ -117,7 +97,8 @@ let sample_t1_totals ~n =
   let prepare = Pbackend.resolve app ext "null_fn" in
   ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
   for _ = 1 to n do
-    Obs.Histogram.observe h (call_overhead (protected_null_call_marks app prepare))
+    Obs.Histogram.observe h
+      (Workload.call_overhead (protected_null_call_marks app prepare))
   done;
   h
 
@@ -1785,35 +1766,6 @@ let bechamel ?(json_dir = ".") ?(quota_sec = 0.5) () =
 
 (* --- Domain-parallel fleet sweep ------------------------------------- *)
 
-(* One isolated world's workload, deterministic in the world index:
-   boot, warm up, drive a protected-null-call sweep (per-call stub
-   cost into fleet.call_cycles), then serve a LibCGI-protected
-   web-server run (request latency into fleet.request_usec).  Worlds
-   deliberately differ a little (calls/requests derived from [i]) so
-   the per-world determinism comparison cannot pass by accident.
-   Returns (calls, requests) completed. *)
-let fleet_world ~calls ~requests i =
-  let calls = calls + (i mod 3) in
-  let requests = requests + (32 * (i mod 4)) in
-  let w = Palladium.boot () in
-  let app = Palladium.create_app w ~name:(Printf.sprintf "fleet%d" i) in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
-  let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
-  for _ = 1 to calls do
-    Obs.Histogram.observe h_call
-      (call_overhead (protected_null_call_marks app prepare))
-  done;
-  let h_req = Obs.Histogram.get_or_create "fleet.request_usec" in
-  let stats =
-    Server.run ~concurrency:16 ~total:requests ~latency:h_req
-      ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles 144) ()
-  in
-  Palladium.teardown w;
-  (calls, stats.Server.requests)
-
 type parallel_outcome = {
   par_domains : int;
   par_worlds : int;
@@ -1828,7 +1780,8 @@ type parallel_outcome = {
 let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
     ?(requests = 20000) () =
   let worlds = match worlds with Some w -> w | None -> max domains 4 in
-  let f = fleet_world ~calls ~requests in
+  (* one batch per world: a call sweep, then one web-server slice *)
+  let f = Workload.fleet_world ~until:(fun b -> b >= 1) ~calls ~requests in
   (* identical seeds, serial then sharded over domains *)
   let serial = Fleet.run ~domains:1 ~worlds f in
   let par = Fleet.run ~domains ~worlds f in
@@ -1838,7 +1791,7 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
   in
   let sum_requests fl =
     List.fold_left
-      (fun acc r -> acc + snd r.Fleet.wr_value)
+      (fun acc r -> acc + r.Fleet.wr_value.Workload.fw_requests)
       0 (Fleet.results fl)
   in
   let merged = Fleet.merged par in
@@ -1856,11 +1809,11 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
     ~headers:[ "World"; "Calls"; "Requests"; "Elapsed (s)" ]
     (List.map
        (fun r ->
-         let calls, reqs = r.Fleet.wr_value in
+         let v = r.Fleet.wr_value in
          [
            Table.cell_int r.Fleet.wr_world;
-           Table.cell_int calls;
-           Table.cell_int reqs;
+           Table.cell_int v.Workload.fw_calls;
+           Table.cell_int v.Workload.fw_requests;
            Printf.sprintf "%.3f" r.Fleet.wr_elapsed;
          ])
        (Fleet.results par));
@@ -1930,12 +1883,12 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
             List
               (List.map
                  (fun r ->
-                   let calls, reqs = r.Fleet.wr_value in
+                   let v = r.Fleet.wr_value in
                    Obj
                      [
                        ("world", Int r.Fleet.wr_world);
-                       ("calls", Int calls);
-                       ("requests", Int reqs);
+                       ("calls", Int v.Workload.fw_calls);
+                       ("requests", Int v.Workload.fw_requests);
                        ("elapsed_sec", Float r.Fleet.wr_elapsed);
                      ])
                  (Fleet.results par)) );
@@ -2215,47 +2168,6 @@ let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
 
 (* --- Timeline: sampled time series, serial vs parallel ----------------- *)
 
-(* One world's timeline workload: batches of protected null calls plus
-   a web-server slice, with an {!Obs.Collector} sampling the world's
-   sink on simulated-cycle boundaries.  Each DES slice's simulated
-   duration is charged to the world CPU so sample boundaries track
-   offered load, and the collector is ticked explicitly at every batch
-   boundary — a short protected call retires fewer instructions than
-   the watchdog tick period and [Pbackend.call] resets the tick
-   countdown per invocation, so the chained hook alone would starve.
-   Deterministic in the world index: same batches -> same cycle
-   stamps -> bit-identical sampled series, serial or parallel. *)
-let timeline_world ~collectors ~batches ~calls ~requests i =
-  let calls = calls + (i mod 3) in
-  let w = Palladium.boot () in
-  let app = Palladium.create_app w ~name:(Printf.sprintf "timeline%d" i) in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  let kcpu = Kernel.cpu (Pbackend.kernel app) in
-  let c = collectors.(i) in
-  Telemetry.attach c kcpu;
-  let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
-  let h_req = Obs.Histogram.get_or_create "fleet.request_usec" in
-  let served = ref 0 in
-  for _ = 1 to batches do
-    for _ = 1 to calls do
-      Obs.Histogram.observe h_call
-        (call_overhead (protected_null_call_marks app prepare))
-    done;
-    let stats =
-      Server.run ~concurrency:16 ~total:requests ~latency:h_req
-        ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-        ~protected_call_usec:(usec_of_cycles 144) ()
-    in
-    served := !served + stats.Server.requests;
-    (* credit the slice's simulated duration to the world CPU *)
-    Cpu.charge kcpu (int_of_float (stats.Server.elapsed_usec *. mhz));
-    Obs.Collector.tick c ~now:(Cpu.cycles kcpu)
-  done;
-  Palladium.teardown w;
-  Telemetry.flush c kcpu;
-  (calls * batches, !served)
-
 (* Per-boundary bcache hit ratio from a sampled series: align the hit
    and miss delta points by timestamp, keep boundaries with lookups. *)
 let bcache_ratios ts =
@@ -2295,13 +2207,14 @@ type timeline_outcome = {
 
 let tl_warmed o = o.tl_first_ratio < o.tl_steady_ratio
 
-(* Sampled-series bench: run the same fixed-batch fleet serially and
-   sharded over domains, each world under its own collector, and
-   compare the per-world time series point-for-point.  The artifact
-   carries the merged series plus the bcache warm-up headline: the
-   first busy interval absorbs every cold block translation (boot and
-   the first batch), so its hit ratio must sit strictly below the
-   steady state where the cache is warm. *)
+(* Sampled-series bench: run the shared fleet world for a fixed batch
+   count serially and sharded over domains, each world under its own
+   collector, and compare the per-world time series point-for-point.
+   The artifact carries the merged series plus the bcache warm-up
+   headline: the first busy interval absorbs every cold block
+   translation (boot, the warm-up call and the first batch), so its
+   hit ratio must sit strictly below the steady state where the cache
+   is warm. *)
 let timeline ?(json_dir = ".") ?(domains = 2) ?worlds ?(batches = 8)
     ?(calls = 48) ?(requests = 160) ?(sample_ms = 10) () =
   let worlds = match worlds with Some w -> w | None -> max domains 2 in
@@ -2311,14 +2224,12 @@ let timeline ?(json_dir = ".") ?(domains = 2) ?worlds ?(batches = 8)
   with_engine Cpu.Blocks @@ fun () ->
   let fresh () = Array.init worlds (fun _ -> Obs.Collector.create ~every ()) in
   let cs_serial = fresh () and cs_par = fresh () in
-  let serial =
-    Fleet.run ~domains:1 ~worlds
-      (timeline_world ~collectors:cs_serial ~batches ~calls ~requests)
-  in
-  let par =
+  let run domains collectors =
     Fleet.run ~domains ~worlds
-      (timeline_world ~collectors:cs_par ~batches ~calls ~requests)
+      (Workload.fleet_world ~collectors ~until:(fun b -> b >= batches) ~calls
+         ~requests)
   in
+  let serial = run 1 cs_serial and par = run domains cs_par in
   let series_json cs =
     Array.to_list cs
     |> List.map (fun c -> Obs.Timeseries.to_json (Obs.Collector.series c))

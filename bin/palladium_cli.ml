@@ -298,34 +298,12 @@ let webserver_cmd =
 
 (* --- fleet: N isolated web-server worlds across domains ------------------ *)
 
-(* Bounded mode (no --duration): one fixed request sweep per world,
-   run twice (serial then parallel) for the determinism check. *)
-let run_fleet worlds domains bytes requests =
-  let pc_usec = null_call_usec (Pbackend.default ()) in
-  let world _i =
-    let w = Palladium.boot () in
-    let latency = Obs.Histogram.get_or_create "fleet.request_usec" in
-    let r =
-      Server.run ~total:requests ~latency
-        ~invocation:Cgi_model.Libcgi_protected ~bytes
-        ~protected_call_usec:pc_usec ()
-    in
-    Palladium.teardown w;
-    r
-  in
-  let serial = Fleet.run ~domains:1 ~worlds world in
-  let par = Fleet.run ?domains ~worlds world in
-  Printf.printf "%d worlds over %d domains (%d cores):\n" worlds
-    par.Fleet.f_domains
-    (Domain.recommended_domain_count ());
-  List.iter
-    (fun wr ->
-      let r = wr.Fleet.wr_value in
-      Printf.printf "  world %-2d %7.0f req/s  (%d requests, %.3fs)\n"
-        wr.Fleet.wr_world r.Server.throughput_rps r.Server.requests
-        wr.Fleet.wr_elapsed)
-    (Fleet.results par);
-  (match Obs.Sink.find_histogram (Fleet.merged par) "fleet.request_usec" with
+(* Both modes drive the shared fleet world (Workload.fleet_world):
+   batches of protected null calls plus a LibCGI web-server slice. *)
+let calls_per_batch = 100
+
+let print_merged_latency fl =
+  match Obs.Sink.find_histogram (Fleet.merged fl) "fleet.request_usec" with
   | Some h ->
       let p q =
         match Obs.Histogram.percentile h q with
@@ -334,7 +312,30 @@ let run_fleet worlds domains bytes requests =
       in
       Printf.printf "  merged latency: %d samples, p50 %s usec, p99 %s usec\n"
         (Obs.Histogram.count h) (p 50.0) (p 99.0)
-  | None -> ());
+  | None -> ()
+
+(* Bounded mode (no --duration): one batch per world, run twice
+   (serial then parallel) for the determinism check. *)
+let run_fleet worlds domains bytes requests =
+  let world =
+    Workload.fleet_world ~bytes ~until:(fun b -> b >= 1) ~calls:calls_per_batch
+      ~requests
+  in
+  let serial = Fleet.run ~domains:1 ~worlds world in
+  let par = Fleet.run ?domains ~worlds world in
+  Printf.printf "%d worlds over %d domains (%d cores):\n" worlds
+    par.Fleet.f_domains
+    (Domain.recommended_domain_count ());
+  List.iter
+    (fun wr ->
+      let v = wr.Fleet.wr_value in
+      Printf.printf "  world %-2d %7.0f req/s  (%d calls, %d requests, %.3fs)\n"
+        wr.Fleet.wr_world
+        (float_of_int v.Workload.fw_requests
+        /. (v.Workload.fw_sim_usec /. 1_000_000.0))
+        v.Workload.fw_calls v.Workload.fw_requests wr.Fleet.wr_elapsed)
+    (Fleet.results par);
+  print_merged_latency par;
   let div = Fleet.divergences serial par in
   Printf.printf "  serial %.3fs, parallel %.3fs -> speedup %.2fx; %s\n"
     (Fleet.elapsed serial) (Fleet.elapsed par)
@@ -343,75 +344,22 @@ let run_fleet worlds domains bytes requests =
     (if div = [] then "per-world results identical to the serial run"
      else "per-world results DIVERGED from the serial run")
 
-(* Long-running mode (--duration): every world loops batches of
-   protected calls plus a web-server slice until the wall-clock
-   deadline, with a telemetry collector chained onto its kernel CPU
-   tick (sampling on *simulated* cycle boundaries, so each world's
-   series stays deterministic).  The coordinator meanwhile answers
+(* Long-running mode (--duration): every world loops batches until the
+   wall-clock deadline, with a telemetry collector on its kernel CPU
+   (sampling on *simulated* cycle boundaries, so each world's series
+   stays deterministic).  The coordinator meanwhile answers
    GET /metrics and GET /timeseries.json, appends fresh merged points
    to a JSONL stream, and joins the fleet at the deadline. *)
-
-let calls_per_batch = 100
 
 let requests_per_batch = 250
 
 let run_fleet_live worlds domains bytes duration sample_ms serve_port
-    jsonl_path expect_samples out_dir =
+    jsonl_path expect_samples =
   if worlds < 1 then (
     prerr_endline "palladium: fleet --duration needs at least one world";
     exit 2);
   let every = max 1 sample_ms * Cycles.mhz * 1000 in
   let collectors = Array.init worlds (fun _ -> Obs.Collector.create ~every ()) in
-  let c_requests =
-    Obs.Counters.counter ~help:"Web-server requests completed by fleet worlds"
-      "fleet.requests"
-  in
-  let c_batches =
-    Obs.Counters.counter ~help:"Fleet world workload batches completed"
-      "fleet.batches"
-  in
-  let pc_usec = null_call_usec (Pbackend.default ()) in
-  let world i =
-    let w = Palladium.boot () in
-    let kcpu = Kernel.cpu (Palladium.kernel w) in
-    Telemetry.attach collectors.(i) kcpu;
-    let app = Palladium.create_backend_app w ~name:(Printf.sprintf "fleet-%d" i) in
-    let ext = Pbackend.load app Ulib.null_image in
-    let prepare = Pbackend.resolve app ext "null_fn" in
-    let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
-    let latency = Obs.Histogram.get_or_create "fleet.request_usec" in
-    let deadline = Unix.gettimeofday () +. duration in
-    let batches = ref 0 and requests = ref 0 in
-    while Unix.gettimeofday () < deadline do
-      for _ = 1 to calls_per_batch do
-        let t0 = Cpu.cycles kcpu in
-        (match Pbackend.call app ~prepare ~arg:0 with
-        | Ok _ -> ()
-        | Error e -> Fmt.failwith "%a" Pbackend.pp_call_error e);
-        Obs.Histogram.observe h_call (Cpu.cycles kcpu - t0)
-      done;
-      let r =
-        Server.run ~total:requests_per_batch ~latency
-          ~invocation:Cgi_model.Libcgi_protected ~bytes
-          ~protected_call_usec:pc_usec ()
-      in
-      Obs.Counters.add c_requests r.Server.requests;
-      requests := !requests + r.Server.requests;
-      Obs.Counters.incr c_batches;
-      incr batches;
-      (* The slice ran on this world's (simulated) CPU: advance its
-         clock by the slice's simulated duration so sample boundaries
-         track offered load.  Short protected calls reset the tick
-         countdown per invocation, so the chained tick hook alone
-         fires only inside long extension invocations — the batch
-         boundary is this workload's reliable sampling point. *)
-      Cpu.charge kcpu (int_of_float (r.Server.elapsed_usec *. mhz));
-      Obs.Collector.tick collectors.(i) ~now:(Cpu.cycles kcpu)
-    done;
-    Telemetry.flush collectors.(i) kcpu;
-    Palladium.teardown w;
-    (!batches, !requests)
-  in
   let cs = Array.to_list collectors in
   let live_metrics () =
     let sink = Obs.Collector.merged_sink cs in
@@ -494,7 +442,13 @@ let run_fleet_live worlds domains bytes duration sample_ms serve_port
   Printf.printf
     "%d worlds, %.1fs wall deadline, sampling every %d simulated ms (%d cycles)\n%!"
     worlds duration sample_ms every;
-  let handle = Fleet.start ?domains ~worlds world in
+  let deadline = Unix.gettimeofday () +. duration in
+  let handle =
+    Fleet.start ?domains ~worlds
+      (Workload.fleet_world ~collectors ~bytes
+         ~until:(fun _ -> Unix.gettimeofday () >= deadline)
+         ~calls:calls_per_batch ~requests:requests_per_batch)
+  in
   while not (Fleet.finished handle) do
     (match srv with Some s -> ignore (Obs.Serve.poll s) | None -> ());
     flush_jsonl ();
@@ -512,9 +466,10 @@ let run_fleet_live worlds domains bytes duration sample_ms serve_port
   Option.iter close_out jsonl;
   List.iter
     (fun wr ->
-      let b, r = wr.Fleet.wr_value in
+      let v = wr.Fleet.wr_value in
       Printf.printf "  world %-2d %6d batches, %8d requests, %.2fs\n"
-        wr.Fleet.wr_world b r wr.Fleet.wr_elapsed)
+        wr.Fleet.wr_world v.Workload.fw_batches v.Workload.fw_requests
+        wr.Fleet.wr_elapsed)
     (Fleet.results fl);
   let merged_ts = Obs.Collector.merged_series cs in
   (* Non-empty samples: distinct timestamps where at least one counter
@@ -545,41 +500,7 @@ let run_fleet_live worlds domains bytes duration sample_ms serve_port
     nonempty
     (if violations = [] then "monotone"
      else "NON-MONOTONE: " ^ String.concat ", " violations);
-  (match Obs.Sink.find_histogram (Fleet.merged fl) "fleet.request_usec" with
-  | Some h ->
-      let p q =
-        match Obs.Histogram.percentile h q with
-        | Some v -> string_of_int v
-        | None -> "n/a"
-      in
-      Printf.printf "  merged latency: %d samples, p50 %s usec, p99 %s usec\n"
-        (Obs.Histogram.count h) (p 50.0) (p 99.0)
-  | None -> ());
-  (match out_dir with
-  | None -> ()
-  | Some dir ->
-      let merged_sink = Fleet.merged fl in
-      let path =
-        Obs.Sink.with_sink merged_sink (fun () ->
-            Obs.Bench_json.write ~dir ~name:"timeline" ~since:[]
-              ?histogram:
-                (Option.map
-                   (fun h -> ("fleet.call_cycles", h))
-                   (Obs.Sink.find_histogram merged_sink "fleet.call_cycles"))
-              ~body:
-                [
-                  ("mode", Obs.Json.String "fleet-live");
-                  ("worlds", Obs.Json.Int worlds);
-                  ("domains", Obs.Json.Int fl.Fleet.f_domains);
-                  ("duration_sec", Obs.Json.Float duration);
-                  ("sample_every_ms", Obs.Json.Int sample_ms);
-                  ("sample_every_cycles", Obs.Json.Int every);
-                  ("nonempty_samples", Obs.Json.Int nonempty);
-                  ("series", Obs.Timeseries.to_json merged_ts);
-                ]
-              ())
-      in
-      Printf.printf "  wrote %s\n" path);
+  print_merged_latency fl;
   match expect_samples with
   | None -> ()
   | Some n ->
@@ -612,7 +533,12 @@ let fleet_cmd =
     Arg.(value & opt int 1024 & info [ "s"; "size" ] ~doc:"Response size in bytes.")
   in
   let total =
-    Arg.(value & opt int 1000 & info [ "n"; "requests" ] ~doc:"Requests per world.")
+    Arg.(
+      value & opt int 1000
+      & info [ "n"; "requests" ]
+          ~doc:
+            "Requests per world in the bounded sweep (world $(i,i) serves \
+             32 x ($(i,i) mod 4) more).")
   in
   let duration =
     Arg.(
@@ -663,32 +589,25 @@ let fleet_cmd =
             "After the run, fail (exit 1) unless at least N non-empty sample \
              boundaries were recorded and every counter series is monotone.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:"Write a BENCH_timeline.json artifact of the sampled series to DIR.")
-  in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
-         "Boot N isolated worlds, each serving a LibCGI-protected web-server \
-          sweep, sharded across OCaml domains; report per-world and merged \
+         "Boot N isolated worlds, each making protected null calls and \
+          serving a LibCGI-protected web-server sweep, sharded across OCaml \
+          domains; report per-world and merged \
           metrics plus serial-vs-parallel speedup.  With $(b,--duration), \
           promote the fleet to a long-running mode with live telemetry \
           sampling, streaming Prometheus exposition ($(b,--serve)) and JSONL \
           flushing ($(b,--jsonl)).")
     Term.(
-      const (fun e bk w d b n dur sample srv jl exp out ->
+      const (fun e bk w d b n dur sample srv jl exp ->
           set_engine e;
           set_backend bk;
           match dur with
           | None -> run_fleet w d b n
-          | Some duration ->
-              run_fleet_live w d b duration sample srv jl exp out)
+          | Some duration -> run_fleet_live w d b duration sample srv jl exp)
       $ engine_flag $ backend_flag $ worlds $ domains $ bytes $ total
-      $ duration $ sample_every $ serve $ jsonl $ expect $ out)
+      $ duration $ sample_every $ serve $ jsonl $ expect)
 
 (* --- rpc ------------------------------------------------------------------ *)
 
@@ -776,6 +695,9 @@ let run_trace iterations with_fault capacity json filter =
         (String.concat "|" trace_kinds);
       exit 2
   | _ -> ());
+  if capacity < 1 then (
+    Printf.eprintf "palladium: --capacity must be >= 1 (got %d)\n" capacity;
+    exit 2);
   Obs.Trace.set_capacity capacity;
   Obs.Trace.set_enabled true;
   run_workload ~iterations ~with_fault;

@@ -126,27 +126,18 @@ let test_fleet_synthetic_determinism () =
   Alcotest.(check (list (pair int string))) "no divergences" []
     (Fleet.divergences serial par)
 
-(* Each world boots a real Palladium world, loads an extension into a
-   protected segment and drives protected calls: TLB/MMU/kernel
-   counters must land in the world's own sink and match the serial
-   run exactly. *)
-let palladium_world i =
-  let w = Palladium.boot () in
-  let app = Palladium.create_app w ~name:(Printf.sprintf "w%d" i) in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  let calls = 3 + (i mod 2) in
-  for _ = 1 to calls do
-    ignore (Pbackend.call app ~prepare ~arg:42)
-  done;
-  Palladium.teardown w;
-  calls
+(* Each world runs the shared fleet world: boots a real Palladium world,
+   loads an extension into a protected segment, drives protected calls
+   and a web-server slice.  TLB/MMU/kernel counters must land in the
+   world's own sink and match the serial run exactly. *)
+let palladium_world =
+  Workload.fleet_world ~until:(fun b -> b >= 1) ~calls:3 ~requests:8
 
 let test_fleet_palladium_determinism () =
   let serial = Fleet.run ~domains:1 ~worlds:4 palladium_world in
   let par = Fleet.run ~domains:3 ~worlds:4 palladium_world in
-  Alcotest.(check (list int)) "calls per world" [ 3; 4; 3; 4 ]
-    (Fleet.values par);
+  Alcotest.(check (list int)) "calls per world" [ 3; 4; 5; 3 ]
+    (List.map (fun v -> v.Workload.fw_calls) (Fleet.values par));
   Alcotest.(check (list (pair int string))) "no divergences" []
     (Fleet.divergences serial par);
   (* and the worlds really did produce protection traffic *)
@@ -162,6 +153,59 @@ let test_fleet_palladium_determinism () =
   check_bool "merged sink saw TLB traffic" true (some_nonzero "x86.tlb");
   check_bool "merged sink saw ring crossings" true
     (some_nonzero "machine.crossings")
+
+(* A fixed batch count under collectors: per-world values and sampled
+   series are bit-identical serial vs 2 domains, and every world's
+   calls and requests follow the index variation. *)
+let test_fleet_world_batches () =
+  let worlds = 4 and batches = 3 in
+  let run domains =
+    let collectors =
+      Array.init worlds (fun _ -> Obs.Collector.create ~every:2_000_000 ())
+    in
+    let fl =
+      Fleet.run ~domains ~worlds
+        (Workload.fleet_world ~collectors ~until:(fun b -> b >= batches)
+           ~calls:2 ~requests:16)
+    in
+    let cs = Array.to_list collectors in
+    check_bool "every world sampled" true
+      (List.for_all (fun c -> Obs.Collector.samples c > 0) cs);
+    (fl, List.map (fun c -> Obs.Timeseries.to_json (Obs.Collector.series c)) cs)
+  in
+  let serial, s_series = run 1 and par, p_series = run 2 in
+  check_bool "per-world values identical" true
+    (Fleet.values serial = Fleet.values par);
+  Alcotest.(check (list (pair int string))) "no divergences" []
+    (Fleet.divergences serial par);
+  check_bool "sampled series identical" true (s_series = p_series);
+  List.iteri
+    (fun i v ->
+      check_int "batches" batches v.Workload.fw_batches;
+      check_int "calls" (batches * (2 + (i mod 3))) v.Workload.fw_calls;
+      check_int "requests" (batches * (16 + (32 * (i mod 4))))
+        v.Workload.fw_requests)
+    (Fleet.values par);
+  (* warm calls only: every recorded call costs the same on seg *)
+  match S.find_histogram (Fleet.merged par) "fleet.call_cycles" with
+  | None -> Alcotest.fail "fleet.call_cycles missing"
+  | Some h ->
+      check_int "one observation per call"
+        (batches * (2 + 3 + 4 + 2))
+        (H.count h);
+      check_bool "warm calls are uniform" true (H.min_value h = H.max_value h)
+
+(* A wall-clock stop still runs at least one batch and terminates. *)
+let test_fleet_world_deadline () =
+  let deadline = Unix.gettimeofday () +. 0.05 in
+  let v =
+    Workload.fleet_world
+      ~until:(fun _ -> Unix.gettimeofday () >= deadline)
+      ~calls:1 ~requests:4 0
+  in
+  check_bool "at least one batch" true (v.Workload.fw_batches >= 1);
+  check_int "calls follow batches" v.Workload.fw_batches v.Workload.fw_calls;
+  check_bool "deadline passed" true (Unix.gettimeofday () >= deadline)
 
 let prop_fleet_determinism =
   QCheck.Test.make ~count:12 ~name:"serial vs parallel fleets agree"
@@ -301,6 +345,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_sampled_series_determinism;
           Alcotest.test_case "sampled series, 4 worlds over 2 domains" `Quick
             test_fleet_sampled_4worlds;
+          Alcotest.test_case "fleet world, fixed batches" `Quick
+            test_fleet_world_batches;
+          Alcotest.test_case "fleet world, deadline stop" `Quick
+            test_fleet_world_deadline;
         ] );
       ( "domain-safety",
         [
