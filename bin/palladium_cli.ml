@@ -120,6 +120,11 @@ let run_filter terms count match_percent budget_policy budget_cycles =
   if count <= 0 then (
     prerr_endline "palladium: --count must be positive";
     exit 2);
+  (match budget_cycles with
+  | Some n when n < 1 ->
+      Printf.eprintf "palladium: --budget must be >= 1 (got %d)\n" n;
+      exit 2
+  | _ -> ());
   let budget_policy =
     match budget_policy with
     | None -> None
@@ -142,14 +147,10 @@ let run_filter terms count match_percent budget_policy budget_cycles =
   Bpf_asm_interp.set_program interp (Filter_expr.to_bpf_tcpdump filter);
   (* The budget gates the *extension*: the interpreter baseline above
      is ordinary kernel code (its dispatch loop is honestly unbounded
-     and would never pass), so the overrides land after it loads. *)
-  (match budget_policy with
-  | Some p -> Kernel.set_policy_override kernel ~name:"budget" (Vcost.policy_name p)
-  | None -> ());
-  (match budget_cycles with
-  | Some n ->
-      Kernel.set_policy_override kernel ~name:"budget_cycles" (string_of_int n)
-  | None -> ());
+     and would never pass), so the world's budget is set after it loads. *)
+  let p = Kernel.policy kernel in
+  p.budget <- budget_policy;
+  p.budget_cycles <- budget_cycles;
   let seg = Palladium.create_kernel_segment w in
   let native =
     try Native_compile.load seg filter
@@ -856,18 +857,11 @@ let profile_cmd =
 
 (* --- verify: load-time verifier reports ------------------------------------ *)
 
-let image_externs (image : Image.t) =
-  let data_names =
-    List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-    @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-  in
-  fun name -> List.mem name data_names || List.mem name image.Image.imports
-
 (* Verify an image the way the extension loaders do: entries from the
    exports, externs from the image's own symbol tables, the region
    sized like a kernel extension segment. *)
 let report_of ?(require_termination = false) (image : Image.t) =
-  Verify.verify ~entries:image.Image.exports ~externs:(image_externs image)
+  Verify.verify ~entries:image.Image.exports ~externs:(Image.externs image)
     ~region:(0, Pconfig.kernel_ext_segment_bytes)
     ~allowed_far:(fun _ -> true)
     ~require_termination ~name:image.Image.name image.Image.text

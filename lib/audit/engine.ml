@@ -7,9 +7,8 @@ module J = Obs.Json
 type policy = Ppolicy.t = Off | Warn | Reject
 
 (* Process default; atomic so worlds on different domains read it
-   safely.  Per-world overrides are resolved by the caller (Paudit
-   consults the kernel's policy-override table) and passed to
-   [enforce ~policy]. *)
+   safely.  A world's override is a [policy option] on its kernel,
+   resolved against this default by [effective_policy]. *)
 let default_policy : policy Atomic.t = Atomic.make Warn
 
 let policy () = Atomic.get default_policy
@@ -20,7 +19,7 @@ let policy_of_string = Ppolicy.of_string
 
 let policy_name = Ppolicy.name
 
-let effective_policy override = Ppolicy.resolve ~default:(policy ()) override
+let effective_policy = function Some p -> p | None -> policy ()
 
 type report = {
   rp_findings : Finding.t list;
@@ -81,7 +80,7 @@ let enforce ?policy:p ~context s =
     r
   end
   else
-    match (match p with Some p -> p | None -> policy ()) with
+    match effective_policy p with
     | Off ->
         outcome_event ~context ~outcome:"off" r;
         r

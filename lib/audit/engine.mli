@@ -7,8 +7,8 @@ type policy = Ppolicy.t = Off | Warn | Reject
 val policy : unit -> policy
 (** Process-default audit policy; defaults to [Warn].  Atomic, so safe
     to read from any domain.  [Pconfig] re-exports this and seeds it
-    from [PALLADIUM_AUDIT]; per-world overrides live on the kernel and
-    are resolved by the caller (see {!enforce}'s [?policy]). *)
+    from [PALLADIUM_AUDIT]; a world's override is the [audit] field of
+    its [Kernel.policy]. *)
 
 val set_policy : policy -> unit
 
@@ -17,10 +17,10 @@ val policy_of_string : string -> policy option
 
 val policy_name : policy -> string
 
-val effective_policy : string option -> policy
-(** The policy for one world: the kernel's override string
-    ([Kernel.policy_override kernel "audit"]) when present and
-    parseable, else the process default. *)
+val effective_policy : policy option -> policy
+(** The policy for one world: its override
+    ([(Kernel.policy kernel).audit]) when set, else the process
+    default as it stands now. *)
 
 type report = {
   rp_findings : Finding.t list;  (** catalogue findings, then REACH *)

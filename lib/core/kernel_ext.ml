@@ -201,51 +201,39 @@ let emit_kernel_stub t program =
    additionally demands an acyclic CFG (BPF-derived filters). *)
 let insmod ?(require_termination = false) t (image : Image.t) =
   if t.dead then invalid_arg "Kernel_ext.insmod: segment is dead";
-  let far_targets = ref None in
-  let bounds = ref None in
-  (let policy = Pconfig.effective_verify_policy t.kernel in
-   let bpolicy = Pconfig.effective_budget_policy t.kernel in
-   if policy <> Verify.Off || bpolicy <> Vcost.Off then begin
-     let data_names =
-       List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-       @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-     in
-     let externs name =
-       List.mem name data_names
-       || List.mem name image.Image.imports
-       || List.mem_assoc name t.ksvcs
-       || List.exists
-            (fun m -> Hashtbl.mem m.m_symbols name)
-            t.modules
-     in
-     let allowed_far sel =
-       sel = t.kgate_sel || List.exists (fun (_, s) -> s = sel) t.ksvcs
-     in
-     let report =
-       Verify.verify ~org:t.cursor_off ~entries:image.Image.exports ~externs
-         ~region:(0, t.seg_size) ~allowed_far ~require_termination
-         ~cost_params:(Cpu.params (Kernel.cpu t.kernel))
-         ~name:image.Image.name image.Image.text
-     in
-     bounds := Some report.Verify.r_bounds;
-     (* A clean verdict with a static far-target set feeds the
-        reachability audit: the segment's outgoing gate edges shrink
-        to exactly the selectors the module can name, plus the return
-        gate the Transfer stubs below always lcall. *)
-     (if Verify.ok report then
-        match report.Verify.r_far_targets with
-        | Some sels -> far_targets := Some (t.kgate_sel :: sels)
-        | None -> ());
-     Verify.enforce ~policy ~mechanism:"insmod(ext)" report;
-     (* Admission control on the certified bounds: an unbounded or
-        over-budget WCET is rejected (or warned about) before the
-        image gets a byte of segment space. *)
-     if bpolicy <> Vcost.Off then
-       Vcost.enforce ~policy:bpolicy
-         ~budget_cycles:(Pconfig.effective_budget_cycles t.kernel)
-         ~mechanism:"insmod(ext)" ~name:image.Image.name
-         report.Verify.r_bounds
-   end);
+  (* Admission control, certified bounds included: an unsafe image or
+     an unbounded or over-budget WCET is rejected (or warned about)
+     before the image gets a byte of segment space. *)
+  let report =
+    let p = Kernel.policy t.kernel in
+    Verify.admit ~policy:p.verify ~budget:p.budget
+      ~budget_cycles:(Kernel.budget_cycles t.kernel) ~mechanism:"insmod(ext)"
+      (fun () ->
+        let own = Image.externs image in
+        let externs name =
+          own name
+          || List.mem_assoc name t.ksvcs
+          || List.exists (fun m -> Hashtbl.mem m.m_symbols name) t.modules
+        in
+        let allowed_far sel =
+          sel = t.kgate_sel || List.exists (fun (_, s) -> s = sel) t.ksvcs
+        in
+        Verify.verify ~org:t.cursor_off ~entries:image.Image.exports ~externs
+          ~region:(0, t.seg_size) ~allowed_far ~require_termination
+          ~cost_params:(Cpu.params (Kernel.cpu t.kernel))
+          ~name:image.Image.name image.Image.text)
+  in
+  let bounds = Option.map (fun r -> r.Verify.r_bounds) report in
+  (* A clean verdict with a static far-target set feeds the
+     reachability audit: the segment's outgoing gate edges shrink to
+     exactly the selectors the module can name, plus the return gate
+     the Transfer stubs below always lcall. *)
+  let far_targets =
+    match report with
+    | Some r when Verify.ok r ->
+        Option.map (fun sels -> t.kgate_sel :: sels) r.Verify.r_far_targets
+    | _ -> None
+  in
   let text_off = t.cursor_off in
   let text_size =
     Asm.length_bytes image.Image.text + (4 * Instr.size * List.length image.Image.exports)
@@ -338,11 +326,11 @@ let insmod ?(require_termination = false) t (image : Image.t) =
       m_text_off = text_off;
       m_symbols = symbols;
       m_exports = image.Image.exports;
-      m_bounds = !bounds;
+      m_bounds = bounds;
     }
   in
   t.modules <- m :: t.modules;
-  Paudit.note_far_targets t.kernel ~cs:t.gdt_cs_idx !far_targets;
+  Paudit.note_far_targets t.kernel ~cs:t.gdt_cs_idx far_targets;
   (* Warm the basic-block engine: pre-translate the module's text at
      its CFG block leaders under the exact CS signature the extension
      runs with (the lret into the segment stamps CPL 1 into the
@@ -402,10 +390,10 @@ let invoke_overhead_cycles = 1024
    an unbounded module admitted under [Warn] still dies at the budget
    rather than at the flat default. *)
 let fuel_limit t ~name =
-  match Pconfig.effective_budget_policy t.kernel with
+  match Vcost.effective_policy (Kernel.policy t.kernel).budget with
   | Vcost.Off -> Pconfig.default_time_limit_cycles
   | Vcost.Warn | Vcost.Reject -> (
-      let budget = Pconfig.effective_budget_cycles t.kernel in
+      let budget = Kernel.budget_cycles t.kernel in
       let owner =
         List.find_opt
           (fun m -> List.exists (fun fn -> m.m_name ^ "$" ^ fn = name) m.m_exports)

@@ -64,17 +64,17 @@ val insmod : ?require_termination:bool -> t -> Image.t -> kmodule
     (kernel text), and register the exports in the EFT.  Detects the
     well-known shared-area symbol.
 
-    The image text first passes the load-time verifier under the
-    global [Verify.policy] ([Pconfig.verify_policy]); under [Reject]
-    an unsafe image raises [Verify.Rejected].  [require_termination]
-    (default false) additionally rejects any CFG back edge — used for
-    BPF-derived packet filters, which must provably terminate.
+    The image text first passes the admission gate, [Verify.admit],
+    under the world's [Kernel.policy] (each unset field follows the
+    process default): under a [Reject] verify policy an unsafe image
+    raises [Verify.Rejected].  [require_termination] (default false)
+    additionally rejects any CFG back edge — used for BPF-derived
+    packet filters, which must provably terminate.
 
-    Under an active budget policy ([Pconfig.budget_policy] or the
-    world's ["budget"] override) the report's certified bounds are
-    additionally checked against the world's cycle budget: an
-    unbounded or over-budget WCET warns or raises
-    [Vcost.Over_budget]. *)
+    Under an active budget policy the report's certified bounds are
+    additionally checked against the world's cycle budget
+    ([Kernel.budget_cycles]): an unbounded or over-budget WCET warns or
+    raises [Vcost.Over_budget]. *)
 
 val module_symbol : kmodule -> string -> int option
 

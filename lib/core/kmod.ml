@@ -24,33 +24,21 @@ let kernel t = t.kernel
    window as the region.  CFG decode and stack discipline still apply,
    which catches plainly malformed modules at load time. *)
 let insmod kernel (image : Image.t) =
-  (let policy = Pconfig.effective_verify_policy kernel in
-   let bpolicy = Pconfig.effective_budget_policy kernel in
-   if policy <> Verify.Off || bpolicy <> Vcost.Off then begin
-     let data_names =
-       List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-       @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-     in
-     let externs name =
-       List.mem name data_names || List.mem name image.Image.imports
-     in
-     let report =
-       Verify.verify ~entries:image.Image.exports ~externs
-         ~region:(0, X86.Layout.kernel_limit + 1)
-         ~allowed_far:(fun _ -> true)
-         ~allow_near_indirect:true ~lint_privileged:false
-         ~check_stack:false
-         ~cost_params:(Cpu.params (Kernel.cpu kernel))
-         ~name:image.Image.name image.Image.text
-     in
-     Verify.enforce ~policy ~mechanism:"insmod" report;
-     (* A classic module becomes part of the kernel — no watchdog ever
-        bounds it at run time, so admission is the only gate there is. *)
-     if bpolicy <> Vcost.Off then
-       Vcost.enforce ~policy:bpolicy
-         ~budget_cycles:(Pconfig.effective_budget_cycles kernel)
-         ~mechanism:"insmod" ~name:image.Image.name report.Verify.r_bounds
-   end);
+  (* A classic module becomes part of the kernel — no watchdog ever
+     bounds it at run time, so admission is the only gate there is. *)
+  (let p = Kernel.policy kernel in
+   ignore
+     (Verify.admit ~policy:p.verify ~budget:p.budget
+        ~budget_cycles:(Kernel.budget_cycles kernel) ~mechanism:"insmod"
+        (fun () ->
+          Verify.verify ~entries:image.Image.exports
+            ~externs:(Image.externs image)
+            ~region:(0, X86.Layout.kernel_limit + 1)
+            ~allowed_far:(fun _ -> true)
+            ~allow_near_indirect:true ~lint_privileged:false
+            ~check_stack:false
+            ~cost_params:(Cpu.params (Kernel.cpu kernel))
+            ~name:image.Image.name image.Image.text)));
   let text_bytes = Asm.length_bytes image.Image.text in
   let data_bytes = max (Image.data_bytes image) 4 in
   let text_linear = Kernel.kalloc kernel ~bytes:text_bytes in

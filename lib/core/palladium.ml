@@ -10,36 +10,24 @@
 
 let version = "0.9.0"
 
-type world = { kernel : Kernel.t }
+type world = { kernel : Kernel.t; backend : Pbackend.kind }
 
 let boot ?params ?verify_policy ?audit_policy ?budget_policy ?budget_cycles
     ?backend () =
-  let kernel = Kernel.boot ?params () in
-  (* Per-world policy overrides go on the kernel (as strings — the
-     kern layer cannot see the policy types) before the first audit,
-     so even the boot audit runs under the world's own policy. *)
-  (match verify_policy with
-  | Some p ->
-      Kernel.set_policy_override kernel ~name:"verify" (Verify.policy_name p)
-  | None -> ());
-  (match audit_policy with
-  | Some p ->
-      Kernel.set_policy_override kernel ~name:"audit"
-        (Audit.Engine.policy_name p)
-  | None -> ());
-  (match budget_policy with
-  | Some p ->
-      Kernel.set_policy_override kernel ~name:"budget" (Vcost.policy_name p)
-  | None -> ());
   (match budget_cycles with
-  | Some n ->
-      Kernel.set_policy_override kernel ~name:"budget_cycles" (string_of_int n)
-  | None -> ());
-  (match backend with
-  | Some b ->
-      Kernel.set_policy_override kernel ~name:"backend" (Pbackend.kind_name b)
-  | None -> ());
-  let w = { kernel } in
+  | Some n when n < 1 ->
+      invalid_arg (Printf.sprintf "Palladium.boot: budget_cycles %d < 1" n)
+  | _ -> ());
+  let kernel = Kernel.boot ?params () in
+  (* The world's policy goes on the kernel before the first audit, so
+     even the boot audit runs under it. *)
+  let p = Kernel.policy kernel in
+  p.verify <- verify_policy;
+  p.audit <- audit_policy;
+  p.budget <- budget_policy;
+  p.budget_cycles <- budget_cycles;
+  let backend = match backend with Some b -> b | None -> Pbackend.default () in
+  let w = { kernel; backend } in
   Paudit.maybe_audit ~context:"boot" w.kernel;
   w
 
@@ -59,11 +47,13 @@ let cpu w = Kernel.cpu w.kernel
 let create_app w ~name =
   Pbackend.create ~backend:Pbackend.Segmentation w.kernel ~name
 
-(* The world's effective protection backend, and a backend-generic
+(* The world's protection backend, fixed at boot, and a backend-generic
    application under it (segmentation or protection keys). *)
-let backend w = Pbackend.effective w.kernel
+let backend w = w.backend
 
-let create_backend_app ?backend w ~name = Pbackend.create ?backend w.kernel ~name
+let create_backend_app ?backend w ~name =
+  Pbackend.create ~backend:(Option.value backend ~default:w.backend) w.kernel
+    ~name
 
 (* A plain (non-Palladium) process at SPL 3. *)
 let create_plain_process w ~name =

@@ -11,7 +11,8 @@
 
 val version : string
 
-type world = { kernel : Kernel.t }
+type world = { kernel : Kernel.t; backend : Pbackend.kind }
+(** [backend] is fixed at boot. *)
 
 val boot :
   ?params:Cycles.params ->
@@ -24,16 +25,18 @@ val boot :
   world
 (** Boot the machine: physical memory, GDT/IDT, the int-0x80 syscall
     gate, the Palladium fault policy and the three new system calls.
-    [?verify_policy]/[?audit_policy]/[?budget_policy] pin this world's
-    policies (stored on the kernel as overrides); without them the
-    world follows the process defaults ({!Pconfig.verify_policy},
-    {!Pconfig.audit_policy}, {!Pconfig.budget_policy}).
-    [?budget_cycles] pins the cycle budget the loaders compare static
+    [?verify_policy]/[?audit_policy]/[?budget_policy]/[?budget_cycles]
+    fill this world's {!Kernel.policy}; each one left out follows its
+    process default, read when used, so a default changed after boot
+    still applies ({!Pconfig.set_verify_policy},
+    {!Pconfig.set_audit_policy}, {!Pconfig.set_budget_policy}).
+    [?budget_cycles] is the cycle budget the loaders compare static
     WCETs against and the watchdog fuel clamp (default
-    {!Pconfig.default_time_limit_cycles}).  [?backend] pins this
-    world's protection backend ({!Pbackend.kind}); without it the
-    world follows the process default ([PALLADIUM_BACKEND] or
-    {!Pbackend.set_default}). *)
+    {!Pconfig.default_time_limit_cycles}); a value below 1 raises
+    [Invalid_argument].  [?backend] fixes this world's protection
+    backend ({!Pbackend.kind}); without it the world takes the process
+    default ([PALLADIUM_BACKEND] or {!Pbackend.set_default}) as it
+    stands at boot. *)
 
 val teardown : world -> unit
 (** Drop per-kernel state registered by upper layers (the auditor's
@@ -50,12 +53,12 @@ val create_app : world -> name:string -> Pbackend.app
     promoted to SPL 2 and ready to load extensions. *)
 
 val backend : world -> Pbackend.kind
-(** The world's effective protection backend. *)
+(** The world's protection backend, fixed at boot. *)
 
 val create_backend_app :
   ?backend:Pbackend.kind -> world -> name:string -> Pbackend.app
 (** A backend-generic extensible application under the world's
-    effective backend (or an explicit [?backend]). *)
+    backend (or an explicit [?backend]). *)
 
 val create_plain_process : world -> name:string -> Task.t * Runtime.t
 (** An ordinary (non-Palladium) SPL 3 process. *)

@@ -183,13 +183,16 @@ let capture kernel =
 let c_skipped = Obs.Counters.counter "audit.skipped"
 
 let force_audit ~context kernel =
-  let policy = Pconfig.effective_audit_policy kernel in
-  let r = Audit.Engine.enforce ~policy ~context (capture kernel) in
+  let r =
+    Audit.Engine.enforce ?policy:(Kernel.policy kernel).audit ~context
+      (capture kernel)
+  in
   (state_of kernel).st_last_gen <- Some r.Audit.Engine.rp_generation;
   r
 
 let maybe_audit ~context kernel =
-  if Pconfig.effective_audit_policy kernel <> Audit.Engine.Off then
+  if Audit.Engine.effective_policy (Kernel.policy kernel).audit <> Audit.Engine.Off
+  then
     let gen = generation kernel in
     match (state_of kernel).st_last_gen with
     | Some g when g = gen -> Obs.Counters.incr c_skipped

@@ -15,9 +15,9 @@
      writes PKRU twice.  Confinement of WRPKRU itself is the verifier's
      allowed_wrpkru lint plus the auditor's INV-23 placement check.
 
-   Selection is per process (PALLADIUM_BACKEND or set_default) and per
-   world (Palladium.boot ?backend, stored in the kernel's
-   policy-override table like the verify/audit/budget policies).
+   The process default (PALLADIUM_BACKEND or set_default) seeds a
+   world's backend once, at boot (Palladium.boot ?backend); [create]
+   takes the backend explicitly.
    Software fault isolation rewrites modules rather than hosting
    applications; the backends benchmark drives it through Kmod/Sfi. *)
 
@@ -48,13 +48,6 @@ let set_default k = Atomic.set default_kind k
 let () =
   Ppolicy.seed_env "PALLADIUM_BACKEND" ~parse:kind_of_string ~expected
     ~set:set_default
-
-(* The backend one specific world runs under: its kernel's override
-   when set and parseable, else the process default. *)
-let effective kernel =
-  match Kernel.policy_override kernel "backend" with
-  | Some s -> ( match kind_of_string s with Some k -> k | None -> default ())
-  | None -> default ()
 
 let app_key = 1
 
@@ -231,8 +224,7 @@ let mpk =
     on_abort = (fun cpu -> X86.Mmu.set_pkru (Cpu.mmu cpu) 0);
   }
 
-let create ?backend kernel ~name =
-  let kind = match backend with Some k -> k | None -> effective kernel in
+let create ~backend:kind kernel ~name =
   let task = Kernel.create_task kernel ~name in
   let env = Dyld.create_env () in
   let rt = Runtime.install kernel task in

@@ -19,11 +19,12 @@
     modules rather than hosting applications; it is a benchmark-only
     comparator driven through {!Kmod}.
 
-    Selection layers, weakest to strongest:
-    process default ([set_default], seeded from [PALLADIUM_BACKEND])
-    < per-world override ([Palladium.boot ?backend], stored in the
-    kernel's policy-override table under ["backend"]) < an explicit
-    [?backend] argument to [create]. *)
+    Selection: the process default ([set_default], seeded from
+    [PALLADIUM_BACKEND]) is read once, when a world boots without
+    [Palladium.boot ?backend]; the world keeps that backend for life
+    ([Palladium.backend]).  [create] takes the backend explicitly, and
+    [Palladium.create_backend_app ?backend] passes the world's unless
+    told otherwise. *)
 
 type kind = Segmentation | Mpk
 
@@ -40,12 +41,10 @@ val expected : string
 (** Human-readable list of accepted spellings, for error messages. *)
 
 val default : unit -> kind
+(** The process default; worlds booted afterwards without an explicit
+    backend take it. *)
 
 val set_default : kind -> unit
-
-val effective : Kernel.t -> kind
-(** The backend this kernel's world runs under: its ["backend"] policy
-    override when set and parseable, else the process default. *)
 
 val app_key : int
 (** Mpk: protection key of the application's writable private pages (1). *)
@@ -81,9 +80,9 @@ type app
 
 (** {2 Creating an extensible application} *)
 
-val create : ?backend:kind -> Kernel.t -> name:string -> app
+val create : backend:kind -> Kernel.t -> name:string -> app
 (** Create a task, install the user-mode runtime and the data/stub
-    regions, and promote it under [backend] (default: [effective]):
+    regions, and promote it under [backend]:
     init_PL plus the AppCallGate return gate, or init_mpk plus
     registration of the key domain with the auditor. *)
 

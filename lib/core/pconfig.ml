@@ -26,12 +26,9 @@ let kernel_shared_area_bytes = 8192
    (Kernel_ext.insmod / Kmod.insmod / Dyld.dlopen with
    extension-segment placement): [Off], [Warn] (default; verdicts on
    stderr and in the verify.* counters) or [Reject] (unsafe images
-   raise [Verify.Rejected]).  The pair below reads/writes the
-   *process default* (atomic, domain-safe); a single world overrides
-   it through its kernel's policy-override table — see
-   [effective_verify_policy].  See lib/verify and DESIGN.md. *)
-let verify_policy () = Verify.policy ()
-
+   raise [Verify.Rejected]).  This sets the *process default* (atomic,
+   domain-safe); a single world overrides it with the [verify] field
+   of its [Kernel.policy].  See lib/verify and DESIGN.md. *)
 let set_verify_policy = Verify.set_policy
 
 (* Protection-state audit policy applied after every protection-
@@ -48,10 +45,9 @@ let set_audit_policy = Audit.Engine.set_policy
    bounds are reported but never gate), [Warn] (over-budget or
    unbounded images noted on stderr and in the budget.* counters) or
    [Reject] (they raise [Vcost.Over_budget]).  The cycle budget itself
-   defaults to the watchdog limit; a world overrides both through its
-   kernel's policy-override table ("budget" / "budget_cycles"). *)
-let budget_policy () = Vcost.policy ()
-
+   defaults to the watchdog limit ([Kernel.budget_cycles]); a world
+   overrides both with the [budget] and [budget_cycles] fields of its
+   [Kernel.policy]. *)
 let set_budget_policy = Vcost.set_policy
 
 (* All three layers parse the same Off/Warn/Reject strings through the
@@ -62,26 +58,6 @@ let verify_policy_of_string = Verify.policy_of_string
 let audit_policy_of_string = Audit.Engine.policy_of_string
 
 let budget_policy_of_string = Vcost.policy_of_string
-
-(* Policy one specific world runs under: its kernel's override when
-   set (Palladium.boot ?verify_policy ?audit_policy, or
-   Kernel.set_policy_override), else the process default. *)
-let effective_verify_policy kernel =
-  Verify.effective_policy (Kernel.policy_override kernel "verify")
-
-let effective_audit_policy kernel =
-  Audit.Engine.effective_policy (Kernel.policy_override kernel "audit")
-
-let effective_budget_policy kernel =
-  Vcost.effective_policy (Kernel.policy_override kernel "budget")
-
-(* Per-world cycle budget the admission policy compares static WCETs
-   against; defaults to the watchdog's flat invocation limit so that
-   "admitted" and "not killed at run time" agree. *)
-let effective_budget_cycles kernel =
-  match Kernel.policy_override kernel "budget_cycles" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default_time_limit_cycles)
-  | None -> default_time_limit_cycles
 
 (* The process defaults can be seeded from the environment, so CI and
    ad-hoc runs can flip them without touching call sites:

@@ -18,6 +18,16 @@ module F = X86.Fault
 
 exception Panic of string
 
+(* One world's settings on top of the process defaults: [None] follows
+   the layer's default at read time, so a world without an override
+   tracks a default changed after boot. *)
+type policy = {
+  mutable verify : Ppolicy.t option;
+  mutable audit : Ppolicy.t option;
+  mutable budget : Ppolicy.t option;
+  mutable budget_cycles : int option;
+}
+
 type t = {
   kid : int; (* kernel instance id, keys external registries *)
   phys : X86.Phys_mem.t;
@@ -44,9 +54,7 @@ type t = {
   syscall_entry : int; (* kernel-segment offset of the int-0x80 stub *)
   invoke_entry : int; (* kernel trampoline: call fn ptr in EAX, arg EBX *)
   segv_log : (int * Signal.info) Obs.Ring.t; (* (pid, info), newest kept *)
-  (* per-kernel policy knobs ("verify"/"audit" -> "off"|"warn"|"reject"),
-     overriding the process defaults for this world only *)
-  policy_overrides : (string, string) Hashtbl.t;
+  policy : policy;
   (* slots where upper layers (which this library cannot see) hang
      per-kernel state, keyed by a well-known slot name — dies with the
      kernel instead of leaking in a process-global registry *)
@@ -59,12 +67,16 @@ let page_size = X86.Phys_mem.page_size
 
 let id t = t.kid
 
-(* --- Per-kernel policy overrides and extension-state slots ---------- *)
+(* --- Per-world policy and extension-state slots ---------------------- *)
 
-let set_policy_override t ~name value =
-  Hashtbl.replace t.policy_overrides name value
+let policy t = t.policy
 
-let policy_override t name = Hashtbl.find_opt t.policy_overrides name
+(* The cycle budget admission and watchdog fuel are held to: the
+   administrator's per-invocation limit unless this world pins one. *)
+let budget_cycles t =
+  match t.policy.budget_cycles with
+  | Some n -> n
+  | None -> Watchdog.default_limit_cycles
 
 let set_ext_state t slot v = Hashtbl.replace t.ext_state slot v
 
@@ -709,7 +721,7 @@ let boot ?(params = Cycles.pentium) () =
       syscall_entry = 0;
       invoke_entry = 0;
       segv_log = Obs.Ring.create Signal.log_capacity;
-      policy_overrides = Hashtbl.create 4;
+      policy = { verify = None; audit = None; budget = None; budget_cycles = None };
       ext_state = Hashtbl.create 4;
     }
   in

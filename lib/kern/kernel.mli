@@ -15,18 +15,28 @@ val boot : ?params:Cycles.params -> unit -> t
 val id : t -> int
 (** Unique id of this kernel instance (process-wide, domain-safe). *)
 
-(** {2 Per-kernel policy overrides}
+(** {2 Per-world policy}
 
-    Upper layers (the loaders, the auditor driver) consult these to
-    give one world a different verify/audit policy from the process
-    default — the kern layer itself only stores the strings, so it
-    stays ignorant of the policy types. *)
+    One world's load-time verification, audit and budget-admission
+    policies and its cycle budget.  [None] means "the layer's process
+    default", resolved at read time ([Verify.effective_policy],
+    [Vcost.effective_policy], [Audit.Engine.effective_policy]), so a
+    world without an override follows a default changed after boot.
+    The fields stay settable after boot. *)
 
-val set_policy_override : t -> name:string -> string -> unit
-(** [set_policy_override t ~name:"verify" "reject"] — well-known names
-    are ["verify"] and ["audit"], values ["off"|"warn"|"reject"]. *)
+type policy = {
+  mutable verify : Ppolicy.t option;
+  mutable audit : Ppolicy.t option;
+  mutable budget : Ppolicy.t option;
+  mutable budget_cycles : int option;
+      (** must be >= 1 when set; [Palladium.boot] checks *)
+}
 
-val policy_override : t -> string -> string option
+val policy : t -> policy
+
+val budget_cycles : t -> int
+(** The world's cycle budget: [budget_cycles] when set, else
+    {!Watchdog.default_limit_cycles}. *)
 
 (** {2 Extension-state slots}
 

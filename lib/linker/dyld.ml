@@ -75,45 +75,19 @@ let dlopen ?(placement = shared_library) ~(kernel : Kernel.t) ~(task : Task.t)
      loader-generated [Jmp_ind]s and must not be linted.  Far calls are
      left to the hardware gates ([allowed_far] is universal): at user
      level an unvetted selector faults on its own. *)
-  (let policy =
-     Verify.effective_policy (Kernel.policy_override kernel "verify")
-   in
-   let bpolicy =
-     Vcost.effective_policy (Kernel.policy_override kernel "budget")
-   in
-   if
-     placement.text_kind = Vm_area.Ext_code
-     && (policy <> Verify.Off || bpolicy <> Vcost.Off)
-   then begin
-     let data_names =
-       List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-       @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-     in
-     let externs name =
-       List.mem name image.Image.imports
-       || List.mem name data_names
-       || lookup env name <> None
-     in
-     let report =
-       Verify.verify ~entries:image.Image.exports ~externs
-         ~region:(0, X86.Layout.user_limit + 1)
-         ~allowed_far:(fun _ -> true)
-         ~cost_params:(Cpu.params (Kernel.cpu kernel))
-         ~name:image.Image.name image.Image.text
-     in
-     Verify.enforce ~policy ~mechanism:"seg_dlopen" report;
-     if bpolicy <> Vcost.Off then
-       Vcost.enforce ~policy:bpolicy
-         ~budget_cycles:
-           (match Kernel.policy_override kernel "budget_cycles" with
-           | Some s -> (
-               match int_of_string_opt s with
-               | Some n when n > 0 -> n
-               | _ -> Watchdog.default_limit_cycles)
-           | None -> Watchdog.default_limit_cycles)
-         ~mechanism:"seg_dlopen" ~name:image.Image.name
-         report.Verify.r_bounds
-   end);
+  (if placement.text_kind = Vm_area.Ext_code then
+     let p = Kernel.policy kernel in
+     ignore
+       (Verify.admit ~policy:p.verify ~budget:p.budget
+          ~budget_cycles:(Kernel.budget_cycles kernel) ~mechanism:"seg_dlopen"
+          (fun () ->
+            let own = Image.externs image in
+            Verify.verify ~entries:image.Image.exports
+              ~externs:(fun name -> own name || lookup env name <> None)
+              ~region:(0, X86.Layout.user_limit + 1)
+              ~allowed_far:(fun _ -> true)
+              ~cost_params:(Cpu.params (Kernel.cpu kernel))
+              ~name:image.Image.name image.Image.text)));
   env.load_count <- env.load_count + 1;
   let asp = task.Task.asp in
   let n_imports = List.length image.Image.imports in

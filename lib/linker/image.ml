@@ -22,6 +22,11 @@ type t = {
   exports : string list; (* function symbols offered to others *)
 }
 
+(* The symbols an image's text may reference without labelling them:
+   its own data and BSS items, then its imports. *)
+let own_symbols ~data ~bss ~imports =
+  List.map (fun d -> d.d_name) data @ List.map (fun b -> b.b_name) bss @ imports
+
 let create ?(data = []) ?(bss = []) ?(imports = []) ?(exports = []) ~name text
     =
   let check_dup names =
@@ -33,11 +38,12 @@ let create ?(data = []) ?(bss = []) ?(imports = []) ?(exports = []) ~name text
         Hashtbl.replace tbl n ())
       names
   in
-  check_dup
-    (List.map (fun d -> d.d_name) data
-    @ List.map (fun b -> b.b_name) bss
-    @ imports);
+  check_dup (own_symbols ~data ~bss ~imports);
   { name; text; data; bss; imports; exports }
+
+let externs t =
+  let names = own_symbols ~data:t.data ~bss:t.bss ~imports:t.imports in
+  fun name -> List.mem name names
 
 let data_item ?(align = 4) name bytes = { d_name = name; d_bytes = bytes; d_align = align }
 

@@ -27,6 +27,11 @@ val create :
   t
 (** Raises [Invalid_argument] on duplicate symbols. *)
 
+val externs : t -> string -> bool
+(** [externs image name]: [name] is one of the image's data or BSS
+    symbols or an import — the extern set the verifier needs to decode
+    the image's text the way the loaders bind it. *)
+
 val data_item : ?align:int -> string -> Bytes.t -> data_item
 
 val data_string : ?align:int -> string -> string -> data_item

@@ -1,8 +1,8 @@
 (* The Off/Warn/Reject enforcement policy shared by the defense
    layers.  Verify, Vcost and Audit.Engine each re-export [t] with a
    type equation and keep their own process default; the parsing,
-   naming, override-resolution and env-seeding logic lives only
-   here. *)
+   naming and env-seeding logic lives only here.  A world's override
+   is a typed [t option] on its kernel (Kernel.policy). *)
 
 type t = Off | Warn | Reject
 
@@ -14,11 +14,6 @@ let of_string s =
   | _ -> None
 
 let name = function Off -> "off" | Warn -> "warn" | Reject -> "reject"
-
-let resolve ~default override =
-  match override with
-  | Some s -> ( match of_string s with Some p -> p | None -> default)
-  | None -> default
 
 let seed_env var ~parse ~expected ~set =
   match Sys.getenv_opt var with

@@ -1,10 +1,12 @@
 (** The Off/Warn/Reject enforcement policy shared by every defense
     layer — load-time verification (Verify), budget admission (Vcost)
-    and state auditing (Audit.Engine).  One parser, one name table,
-    one override-resolution rule and one environment-seeding helper,
-    so the layers cannot drift apart.  Each layer re-exports the type
-    with an equation ([type policy = Ppolicy.t = Off | Warn | Reject])
-    and keeps its own process default. *)
+    and state auditing (Audit.Engine).  One parser, one name table and
+    one environment-seeding helper, so the layers cannot drift apart.
+    Each layer re-exports the type with an equation
+    ([type policy = Ppolicy.t = Off | Warn | Reject]) and keeps its own
+    process default; a world's override is a typed [t option] on its
+    kernel ([Kernel.policy]), parsed once, at the flag or the
+    environment, never when read. *)
 
 type t = Off | Warn | Reject
 
@@ -12,11 +14,6 @@ val of_string : string -> t option
 (** Case-insensitive, whitespace-trimmed: "off" | "warn" | "reject". *)
 
 val name : t -> string
-
-val resolve : default:t -> string option -> t
-(** The policy one world runs under: the override string (a kernel's
-    policy-override table entry) when present and parseable, else
-    [default]. *)
 
 val seed_env :
   string -> parse:(string -> 'a option) -> expected:string -> set:('a -> unit) -> unit

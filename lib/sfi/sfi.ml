@@ -208,18 +208,12 @@ let rewrite_program ?(mode = Full) ?entries ?externs ?arg policy region
 (* Sandbox a whole image's text.  In [Verified] mode the verifier gets
    the image's externs (imports + data symbols) so its CFG decodes. *)
 let sandbox_image ?mode ?arg policy region (image : Image.t) =
-  let data_names =
-    List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-    @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-  in
-  let externs name =
-    List.mem name data_names || List.mem name image.Image.imports
-  in
   Image.create
     ~name:(image.Image.name ^ "-sfi")
     ~data:image.Image.data ~bss:image.Image.bss ~imports:image.Image.imports
     ~exports:image.Image.exports
-    (rewrite_program ?mode ~entries:image.Image.exports ~externs ?arg policy
+    (rewrite_program ?mode ~entries:image.Image.exports
+       ~externs:(Image.externs image) ?arg policy
        region image.Image.text)
 
 (* Static instruction-count overhead (guards inserted per guarded

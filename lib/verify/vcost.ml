@@ -648,10 +648,10 @@ let walk_surcharge (p : Cycles.params) ~instrs =
 (* Budget policy                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Load-time admission control on the certified bounds.  The default
-   lives here (the kern layer cannot see verify types); {!Pconfig}
-   re-exports it next to the verify and audit policies and seeds it
-   from PALLADIUM_BUDGET / PALLADIUM_BUDGET_CYCLES. *)
+(* Load-time admission control on the certified bounds.  The process
+   default lives here; {!Pconfig} seeds it from PALLADIUM_BUDGET, and a
+   world overrides it with the [budget] field of its [Kernel.policy]
+   (resolved by [effective_policy]). *)
 type policy = Ppolicy.t = Off | Warn | Reject
 
 let default_policy : policy Atomic.t = Atomic.make Off
@@ -664,7 +664,7 @@ let policy_of_string = Ppolicy.of_string
 
 let policy_name = Ppolicy.name
 
-let effective_policy override = Ppolicy.resolve ~default:(policy ()) override
+let effective_policy = function Some p -> p | None -> policy ()
 
 exception Over_budget of string * bounds
 
@@ -681,8 +681,7 @@ let violation ~budget_cycles b =
       Some (Printf.sprintf "static WCET %d cycles exceeds the budget of %d" w budget_cycles)
   | Finite _ -> None
 
-let enforce ?policy:p ~budget_cycles ~mechanism ~name (b : bounds) =
-  let p = match p with Some p -> p | None -> policy () in
+let enforce ~policy:p ~budget_cycles ~mechanism ~name (b : bounds) =
   Obs.Counters.incr c_images;
   match p with
   | Off -> ()

@@ -1132,7 +1132,7 @@ type policy = Ppolicy.t = Off | Warn | Reject
    examples, which load deliberately rogue images) keep running, with
    the verdict on stderr and in the counters.  The process default is
    atomic so worlds on different domains read it safely; individual
-   worlds override it through their kernel's policy-override table
+   worlds override it with a typed [policy option] on their kernel
    (see [effective_policy]). *)
 let default_policy : policy Atomic.t = Atomic.make Warn
 
@@ -1144,7 +1144,7 @@ let policy_of_string = Ppolicy.of_string
 
 let policy_name = Ppolicy.name
 
-let effective_policy override = Ppolicy.resolve ~default:(policy ()) override
+let effective_policy = function Some p -> p | None -> policy ()
 
 exception Rejected of string * report
 
@@ -1156,8 +1156,8 @@ let c_warned = Obs.Counters.counter "verify.warned"
 
 let c_proved = Obs.Counters.counter "verify.accesses_proved"
 
-let enforce ?policy:p ~mechanism report =
-  match (match p with Some p -> p | None -> policy ()) with
+let enforce ~policy ~mechanism report =
+  match policy with
   | Off -> ()
   | (Warn | Reject) as p ->
       Obs.Counters.incr c_images;
@@ -1173,6 +1173,21 @@ let enforce ?policy:p ~mechanism report =
             (fun ppf r -> List.iter (fun d -> Fmt.pf ppf "  %a@." pp_diag d) (errors r))
             report
         end
+
+(* The one load-time admission gate.  Verification runs when either
+   policy is on; its verdict goes through [enforce], then, under an
+   active budget policy, the certified bounds through [Vcost.enforce]. *)
+let admit ~policy:p ~budget ~budget_cycles ~mechanism run =
+  let p = effective_policy p and budget = Vcost.effective_policy budget in
+  if p = Off && budget = Off then None
+  else begin
+    let report = run () in
+    enforce ~policy:p ~mechanism report;
+    if budget <> Off then
+      Vcost.enforce ~policy:budget ~budget_cycles ~mechanism ~name:report.r_name
+        report.r_bounds;
+    Some report
+  end
 
 (* ------------------------------------------------------------------ *)
 (* SFI integration                                                     *)

@@ -8,7 +8,8 @@
     every memory operand's effective address against the extension's
     region.  Internal [call] targets are analysed once per routine and
     condensed into {!Vsum} summaries applied at their call sites.
-    Loaders call {!verify} + {!enforce} behind the global {!policy};
+    Loaders pass their {!verify} call to the one admission gate,
+    {!admit}, under their world's policies;
     the SFI rewriter uses {!proved_instrs} to elide guards the analysis
     proves redundant ([Sfi.Verified]). *)
 
@@ -158,8 +159,8 @@ type policy = Ppolicy.t = Off | Warn | Reject
 
 val policy : unit -> policy
 (** Process-default load-time verification policy, default [Warn];
-    atomic, so safe to read from any domain.  Re-exported as
-    [Pconfig.verify_policy]. *)
+    atomic, so safe to read from any domain.  [Pconfig] seeds it from
+    [PALLADIUM_VERIFY]. *)
 
 val set_policy : policy -> unit
 
@@ -168,19 +169,32 @@ val policy_of_string : string -> policy option
 
 val policy_name : policy -> string
 
-val effective_policy : string option -> policy
-(** The policy for one world: the kernel's override string
-    ([Kernel.policy_override kernel "verify"]) when present and
-    parseable, else the process default. *)
+val effective_policy : policy option -> policy
+(** The policy for one world: its override
+    ([(Kernel.policy kernel).verify]) when set, else the process
+    default as it stands now. *)
 
 exception Rejected of string * report
-(** [(image name, report)] — raised by {!enforce} under [Reject]. *)
+(** [(image name, report)] — raised by {!admit} under [Reject]. *)
 
-val enforce : ?policy:policy -> mechanism:string -> report -> unit
-(** Apply a policy to a report ([?policy] defaults to the process
-    default): [Off] ignores it, [Warn] prints error diagnostics to
-    stderr, [Reject] raises {!Rejected}.  Outcomes are counted under
-    [verify.*]. *)
+val admit :
+  policy:policy option ->
+  budget:Vcost.policy option ->
+  budget_cycles:int ->
+  mechanism:string ->
+  (unit -> report) ->
+  report option
+(** The loaders' one admission gate.  [admit ~policy ~budget
+    ~budget_cycles ~mechanism run] resolves both policies against their
+    process defaults ({!effective_policy}, [Vcost.effective_policy]).
+    When both are [Off] it returns [None] without running [run].
+    Otherwise it runs the verifier ([run ()]) and applies the verify
+    policy to the report: [Off] ignores it, [Warn] prints its error
+    diagnostics to stderr, [Reject] raises {!Rejected} when it is not
+    {!ok}; outcomes are counted under [verify.*].  Then, under an
+    active budget policy, [Vcost.enforce] holds the report's certified
+    bounds to [budget_cycles] (counted under [budget.*]; [Reject]
+    raises [Vcost.Over_budget]).  Returns the report. *)
 
 (** {1 SFI integration} *)
 

@@ -413,6 +413,34 @@ let test_protected_call_cost_bounds () =
         (cycles >= 140 && cycles <= 200)
   | Error e -> Alcotest.failf "call: %a" Pbackend.pp_call_error e
 
+(* --- World settings ----------------------------------------------- *)
+
+(* The backend is fixed at boot: changing the process default later
+   moves neither the world nor its new applications. *)
+let test_backend_fixed_at_boot () =
+  let saved = Pbackend.default () in
+  Fun.protect
+    ~finally:(fun () -> Pbackend.set_default saved)
+    (fun () ->
+      Pbackend.set_default Pbackend.Mpk;
+      let w = Palladium.boot () in
+      Pbackend.set_default Pbackend.Segmentation;
+      check_bool "world keeps its boot backend" true
+        (Palladium.backend w = Pbackend.Mpk);
+      check_bool "new apps follow the world, not the default" true
+        (Pbackend.backend_of (Palladium.create_backend_app w ~name:"a")
+        = Pbackend.Mpk))
+
+let test_budget_validation () =
+  List.iter
+    (fun n ->
+      match Palladium.boot ~budget_cycles:n () with
+      | _ -> Alcotest.failf "budget_cycles %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -5 ];
+  check_int "budget of 1 accepted" 1
+    (Kernel.budget_cycles (Palladium.kernel (Palladium.boot ~budget_cycles:1 ())))
+
 let () =
   Alcotest.run "palladium"
     [
@@ -476,5 +504,11 @@ let () =
             test_multiple_extensions_coexist;
           Alcotest.test_case "protected call cost bounds" `Quick
             test_protected_call_cost_bounds;
+        ] );
+      ( "world",
+        [
+          Alcotest.test_case "backend fixed at boot" `Quick
+            test_backend_fixed_at_boot;
+          Alcotest.test_case "budget validation" `Quick test_budget_validation;
         ] );
     ]

@@ -386,6 +386,48 @@ let test_bounded_module_runs_under_budget () =
   | Ok (Some (v, _)) -> check_int "bump returns the new count" 1 v
   | _ -> Alcotest.fail "bounded module should run to completion"
 
+(* --- per-world policy ------------------------------------------------ *)
+
+(* Two worlds in one process hold different typed policies: the same
+   4-term compiled filter (certified WCET 48 cycles) is rejected where
+   the budget is 20 cycles under Reject and loads where verification
+   only warns and the budget gate is off. *)
+let test_two_worlds_one_process () =
+  let terms = Filter_expr.canonical 4 in
+  let strict =
+    Palladium.boot ~verify_policy:Verify.Reject ~budget_policy:Vcost.Reject
+      ~budget_cycles:20 ()
+  in
+  let lax = Palladium.boot ~verify_policy:Verify.Warn ~budget_policy:Vcost.Off () in
+  check_int "strict world's budget" 20 (Kernel.budget_cycles (Palladium.kernel strict));
+  check_int "lax world's budget is the watchdog limit"
+    Watchdog.default_limit_cycles
+    (Kernel.budget_cycles (Palladium.kernel lax));
+  (match Native_compile.load (Palladium.create_kernel_segment strict) terms with
+  | _ -> Alcotest.fail "over-budget filter admitted under Reject"
+  | exception Vcost.Over_budget _ -> ());
+  let task = Kernel.create_task (Palladium.kernel lax) ~name:"t" in
+  let nf = Native_compile.load (Palladium.create_kernel_segment lax) terms in
+  let packet = Packet.to_bytes (Pkt_gen.matching_packet ()) in
+  match Native_compile.run nf task ~packet with
+  | Ok (v, _) -> check_int "filter matches in the lax world" 1 v
+  | Error e -> Alcotest.failf "filter run: %a" Kernel_ext.pp_invoke_error e
+
+(* A world booted without overrides reads the process default when it
+   loads, not when it boots. *)
+let test_process_default_after_boot () =
+  let saved = Vcost.policy () in
+  Fun.protect
+    ~finally:(fun () -> Pconfig.set_budget_policy saved)
+    (fun () ->
+      Pconfig.set_budget_policy Vcost.Off;
+      let w = Palladium.boot () in
+      ignore (Kernel_ext.insmod (Palladium.create_kernel_segment w) Ulib.rogue_loop_image);
+      Pconfig.set_budget_policy Vcost.Reject;
+      match Kernel_ext.insmod (Palladium.create_kernel_segment w) Ulib.rogue_loop_image with
+      | _ -> Alcotest.fail "unbounded module admitted after the default became Reject"
+      | exception Vcost.Over_budget _ -> ())
+
 let () =
   Alcotest.run "vcost"
     [
@@ -416,5 +458,12 @@ let () =
             test_budget_abort_then_clean_audit;
           Alcotest.test_case "bounded module runs under budget" `Quick
             test_bounded_module_runs_under_budget;
+        ] );
+      ( "world policy",
+        [
+          Alcotest.test_case "two worlds, one process" `Quick
+            test_two_worlds_one_process;
+          Alcotest.test_case "process default after boot" `Quick
+            test_process_default_after_boot;
         ] );
     ]

@@ -21,14 +21,8 @@ let region = (0, Pconfig.kernel_ext_segment_bytes)
 (* Mirror of the loaders' profile: entries from exports, externs from
    the image's own symbol tables. *)
 let report_of ?require_termination (image : Image.t) =
-  let data_names =
-    List.map (fun (d : Image.data_item) -> d.Image.d_name) image.Image.data
-    @ List.map (fun (b : Image.bss_item) -> b.Image.b_name) image.Image.bss
-  in
-  let externs name =
-    List.mem name data_names || List.mem name image.Image.imports
-  in
-  Verify.verify ~entries:image.Image.exports ~externs ~region
+  Verify.verify ~entries:image.Image.exports ~externs:(Image.externs image)
+    ~region
     ~allowed_far:(fun _ -> true)
     ?require_termination ~name:image.Image.name image.Image.text
 
