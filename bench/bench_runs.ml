@@ -40,10 +40,6 @@ let find_mark marks suffix =
   | Some (_, c) -> c
   | None -> failwith ("mark not found: " ^ suffix)
 
-(* One protected null call, returning the marks it stamped. *)
-let protected_null_call_marks app prepare =
-  Workload.marks_of_call app (fun () -> Pbackend.call app ~prepare ~arg:1)
-
 type t1 = {
   t1_setup : int;
   t1_calling : int;
@@ -57,11 +53,9 @@ let t1_total r = r.t1_setup + r.t1_calling + r.t1_returning + r.t1_restoring
 (* Measured inter-domain rows (Table 1 column "Inter"). *)
 let measure_inter () =
   let _w, app = boot_app () in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
+  let null_call = Workload.warm_null_call app in
   let setup, call, body, return, restore, done_ =
-    Workload.call_bounds (protected_null_call_marks app prepare)
+    Workload.call_bounds (Workload.marks_of_call app null_call)
   in
   {
     t1_setup = call - setup;
@@ -93,12 +87,10 @@ let measure_intra () =
 let sample_t1_totals ~n =
   let h = Obs.Histogram.create () in
   let _w, app = boot_app () in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  ignore (protected_null_call_marks app prepare) (* warm TLB and pages *);
+  let call = Workload.warm_null_call app in
   for _ = 1 to n do
     Obs.Histogram.observe h
-      (Workload.call_overhead (protected_null_call_marks app prepare))
+      (Workload.call_overhead (Workload.marks_of_call app call))
   done;
   h
 
@@ -577,13 +569,11 @@ let ipc_cmp ?(json_dir = ".") ~palladium_cycles () =
      return), the quantity compared against the other mechanisms *)
   let h_call = Obs.Histogram.create () in
   let _w, app = boot_app () in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
+  let call = Workload.warm_null_call app in
   let cpu = Kernel.cpu (Pbackend.kernel app) in
-  ignore (Pbackend.call app ~prepare ~arg:1);
   for _ = 1 to 16 do
     let before = Cpu.cycles cpu in
-    ignore (Pbackend.call app ~prepare ~arg:1);
+    ignore (call ());
     Obs.Histogram.observe h_call (Cpu.cycles cpu - before)
   done;
   Table.print ~title:"IPC comparison (section 5.1)" ~aligns:[ Table.L ]
@@ -966,12 +956,10 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
   let w = Palladium.boot ~backend:kind () in
   let app = Palladium.create_backend_app w ~name:"bk" in
   (* transfer cost: protected null call *)
-  let next = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app next "null_fn" in
-  ignore (Pbackend.call app ~prepare ~arg:1);
+  let call = Workload.warm_null_call app in
   let cyc = ref 0 in
   for _ = 1 to calls do
-    match Pbackend.call app ~prepare ~arg:1 with
+    match call () with
     | Ok (_, c) ->
         Obs.Histogram.observe hist c;
         cyc := !cyc + c
@@ -1672,90 +1660,6 @@ let audit ?(json_dir = ".") ?(full_iters = 25) () =
       ("findings", Int (List.length report.Audit.Engine.rp_findings));
     ]
 
-(* --- Bechamel wall-clock suite ---------------------------------------- *)
-
-let bechamel ?(json_dir = ".") ?(quota_sec = 0.5) () =
-  let since = Obs.Counters.snapshot () in
-  let open Bechamel in
-  let open Toolkit in
-  (* Each case boots, loads and resolves once, outside the staged
-     closure, so only the call or run itself is timed. *)
-  let t1 =
-    let _w, app = boot_app () in
-    let ext = Pbackend.load app Ulib.null_image in
-    let prepare = Pbackend.resolve app ext "null_fn" in
-    Test.make ~name:"table1/protected-null-call"
-      (Staged.stage (fun () -> ignore (Pbackend.call app ~prepare ~arg:1)))
-  in
-  let t2 =
-    let _w, app = boot_app () in
-    let ext = Pbackend.load app Ulib.strrev_image in
-    let prepare = Pbackend.resolve app ext "strrev" in
-    let buf = Pbackend.xmalloc ext 512 in
-    fill_string app buf 256;
-    Test.make ~name:"table2/strrev-256B"
-      (Staged.stage (fun () -> ignore (Pbackend.call app ~prepare ~arg:buf)))
-  in
-  let t3 =
-    Test.make ~name:"table3/des-sweep"
-      (Staged.stage (fun () ->
-           ignore (Bench_ab.sweep ~protected_call_usec:0.72 ())))
-  in
-  let f7 =
-    let kernel = Palladium.kernel (Palladium.boot ()) in
-    let task = Kernel.create_task kernel ~name:"init" in
-    let interp = Bpf_asm_interp.load kernel in
-    Bpf_asm_interp.set_program interp
-      (Filter_expr.to_bpf_tcpdump (Filter_expr.canonical 4));
-    Bpf_asm_interp.set_packet interp
-      (Packet.to_bytes (Pkt_gen.matching_packet ()));
-    Test.make ~name:"figure7/bpf-4-terms"
-      (Staged.stage (fun () -> ignore (Bpf_asm_interp.run interp task)))
-  in
-  let benchmark test =
-    let quota = Time.second quota_sec in
-    Benchmark.all (Benchmark.cfg ~quota ()) [ Instance.monotonic_clock ] test
-  in
-  let estimates = ref [] in
-  let h_ns = Obs.Histogram.create () in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name result ->
-          let ols =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock result
-          in
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              estimates := (name, Some est) :: !estimates;
-              Obs.Histogram.observe h_ns (max 0 (int_of_float est));
-              Printf.printf "bechamel %-32s %12.0f ns/run\n" name est
-          | Some _ | None ->
-              estimates := (name, None) :: !estimates;
-              Printf.printf "bechamel %-32s (no estimate)\n" name)
-        results)
-    [ t1; t2; t3; f7 ];
-  let open Obs.Json in
-  emit ~json_dir ~name:"bechamel" ~since
-    ~histogram:("ns_per_run", h_ns)
-    [
-      ( "estimates",
-        List
-          (List.rev_map
-             (fun (name, est) ->
-               Obj
-                 [
-                   ("name", String name);
-                   ( "ns_per_run",
-                     match est with Some e -> Float e | None -> Null );
-                 ])
-             !estimates) );
-    ]
-
 (* --- Domain-parallel fleet sweep ------------------------------------- *)
 
 type parallel_outcome = {
@@ -1915,11 +1819,35 @@ let fp_identical r =
   r.fp_interp.es_cycles = r.fp_blocks.es_cycles
   && r.fp_interp.es_instrs = r.fp_blocks.es_instrs
 
+(* Block-cache footprint of one run, read off the bcache.* counters: a
+   lookup is a table hit, a miss or a chained transfer (a hit that
+   skipped the table). *)
+type cache_row = {
+  cr_blocks : int;
+  cr_lookups : int;
+  cr_hits : int;
+  cr_invalidations : int;
+}
+
+let c_bc_hit = Obs.Counters.counter "bcache.hit"
+
+let c_bc_miss = Obs.Counters.counter "bcache.miss"
+
+let c_bc_chain = Obs.Counters.counter "bcache.chain"
+
+let c_bc_invalidate = Obs.Counters.counter "bcache.invalidate"
+
+(* This sink's (lookups, hits, invalidations) so far. *)
+let cache_counts () =
+  let v = Obs.Counters.value in
+  let hits = v c_bc_hit + v c_bc_chain in
+  (hits + v c_bc_miss, hits, v c_bc_invalidate)
+
 type fastpath_outcome = {
   fp_rows : fastpath_row list;
   fp_machine : fastpath_row;
   fp_protected : fastpath_row; (* the compute-heavy protected-call sweep *)
-  fp_cache : Bcache.stats;
+  fp_cache : cache_row;
 }
 
 let with_engine engine f =
@@ -1936,6 +1864,7 @@ let fastpath_machine_sample engine ~iters =
   let module Desc = X86.Descriptor in
   let module DT = X86.Desc_table in
   let module Seg = X86.Segmentation in
+  let lookups0, hits0, invalidations0 = cache_counts () in
   let phys = X86.Phys_mem.create () in
   let dir = X86.Paging.create () in
   for vpn = 0 to 31 do
@@ -1997,9 +1926,15 @@ let fastpath_machine_sample engine ~iters =
   | Cpu.Halted -> ()
   | Cpu.Max_instructions | Cpu.Fault_abort _ ->
       failwith "fastpath: machine loop did not halt");
-  ( { es_sec = Sys.time () -. t0; es_cycles = Cpu.cycles cpu;
-      es_instrs = Cpu.instructions cpu },
-    Bexec.stats bx )
+  let es_sec = Sys.time () -. t0 in
+  let lookups, hits, invalidations = cache_counts () in
+  ( { es_sec; es_cycles = Cpu.cycles cpu; es_instrs = Cpu.instructions cpu },
+    {
+      cr_blocks = Bexec.cached_blocks bx;
+      cr_lookups = lookups - lookups0;
+      cr_hits = hits - hits0;
+      cr_invalidations = invalidations - invalidations0;
+    } )
 
 (* The checksum rounds of the compute-heavy protected-call sweeps:
    ~32k simulated instructions per call, so instruction dispatch (not
@@ -2150,10 +2085,10 @@ let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
       ( "cache",
         Obj
           [
-            ("blocks", Int cache.Bcache.bc_blocks);
-            ("lookups", Int cache.Bcache.bc_lookups);
-            ("hits", Int cache.Bcache.bc_hits);
-            ("invalidations", Int cache.Bcache.bc_invalidations);
+            ("blocks", Int cache.cr_blocks);
+            ("lookups", Int cache.cr_lookups);
+            ("hits", Int cache.cr_hits);
+            ("invalidations", Int cache.cr_invalidations);
           ] );
     ];
   { fp_rows = rows; fp_machine = machine; fp_protected = pc; fp_cache = cache }
@@ -2309,8 +2244,7 @@ let subcommands =
     "backends"; "audit"; "fastpath"; "parallel"; "timeline"; "wcet";
   ]
 
-(* Run the requested subset (everything when [args] is empty; bechamel
-   only when asked for by name, as in the original CLI). *)
+(* Run the requested subset (everything when [args] is empty). *)
 let run_main args =
   let want name = args = [] || List.mem name args in
   let palladium_cycles = ref 144 in
@@ -2326,8 +2260,8 @@ let run_main args =
   if want "backends" then backends ();
   if want "audit" then audit ();
   if want "fastpath" then ignore (fastpath ());
-  (* parallel spawns domains, so — like bechamel — it only runs when
-     asked for by name; `--domains N` / `--worlds N` tune the fleet. *)
+  (* parallel spawns domains, so it only runs when asked for by name;
+     `--domains N` / `--worlds N` tune the fleet. *)
   let rec flag name = function
     | [] -> None
     | f :: v :: _ when f = name -> int_of_string_opt v
@@ -2352,5 +2286,4 @@ let run_main args =
       (timeline
          ?domains:(flag "--domains" args)
          ?worlds:(flag "--worlds" args)
-         ());
-  if List.mem "bechamel" args then bechamel ()
+         ())

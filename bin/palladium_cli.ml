@@ -9,6 +9,16 @@ open Cmdliner
 
 let mhz = float_of_int Cycles.mhz
 
+(* A usage error unless [ok]: say what is wrong and exit 2, before any
+   world boots. *)
+let usage_unless ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not ok then (
+        prerr_endline ("palladium: " ^ msg);
+        exit 2))
+    fmt
+
 (* --- --engine: execution-engine selection ----------------------------- *)
 
 (* Every command that boots a simulated CPU takes [--engine]; the
@@ -78,12 +88,9 @@ let set_backend = Pbackend.set_default
 (* Cycles of [iterations] warm protected null calls in a fresh
    application of world [w]. *)
 let null_call_samples w ~name iterations =
-  let app = Palladium.create_backend_app w ~name in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  ignore (Pbackend.call app ~prepare ~arg:0);
+  let call = Workload.warm_null_call (Palladium.create_backend_app w ~name) in
   List.init iterations (fun _ ->
-      match Pbackend.call app ~prepare ~arg:0 with
+      match call () with
       | Ok (_, cycles) -> float_of_int cycles
       | Error e -> Fmt.failwith "%a" Pbackend.pp_call_error e)
 
@@ -114,17 +121,11 @@ let call_cmd =
 (* --- filter: packet filtering sweep ----------------------------------- *)
 
 let run_filter terms count match_percent budget_policy budget_cycles =
-  if terms < 0 || terms > 6 then (
-    prerr_endline "palladium: --terms must be between 0 and 6";
-    exit 2);
-  if count <= 0 then (
-    prerr_endline "palladium: --count must be positive";
-    exit 2);
-  (match budget_cycles with
-  | Some n when n < 1 ->
-      Printf.eprintf "palladium: --budget must be >= 1 (got %d)\n" n;
-      exit 2
-  | _ -> ());
+  usage_unless (terms >= 0 && terms <= 6) "--terms must be between 0 and 6";
+  usage_unless (count > 0) "--count must be positive";
+  Option.iter
+    (fun n -> usage_unless (n >= 1) "--budget must be >= 1 (got %d)" n)
+    budget_cycles;
   let budget_policy =
     match budget_policy with
     | None -> None
@@ -233,6 +234,10 @@ let null_call_usec ?(iterations = 40) backend =
   Stats.mean samples /. mhz
 
 let run_webserver backend bytes concurrency total deadline wcet =
+  usage_unless (bytes >= 0) "--size must be >= 0 (got %d)" bytes;
+  usage_unless (concurrency >= 1) "--concurrency must be >= 1 (got %d)"
+    concurrency;
+  usage_unless (total >= 1) "--requests must be >= 1 (got %d)" total;
   let models =
     [
       Cgi_model.Cgi; Cgi_model.Fast_cgi; Cgi_model.Libcgi_protected;
@@ -356,9 +361,6 @@ let requests_per_batch = 250
 
 let run_fleet_live worlds domains bytes duration sample_ms serve_port
     jsonl_path expect_samples =
-  if worlds < 1 then (
-    prerr_endline "palladium: fleet --duration needs at least one world";
-    exit 2);
   let every = max 1 sample_ms * Cycles.mhz * 1000 in
   let collectors = Array.init worlds (fun _ -> Obs.Collector.create ~every ()) in
   let cs = Array.to_list collectors in
@@ -604,6 +606,13 @@ let fleet_cmd =
       const (fun e bk w d b n dur sample srv jl exp ->
           set_engine e;
           set_backend bk;
+          usage_unless (w >= 1) "--worlds must be >= 1 (got %d)" w;
+          Option.iter
+            (fun d -> usage_unless (d >= 1) "--domains must be >= 1 (got %d)" d)
+            d;
+          usage_unless (b >= 0) "--size must be >= 0 (got %d)" b;
+          usage_unless (dur <> None || n >= 1) "--requests must be >= 1 (got %d)"
+            n;
           match dur with
           | None -> run_fleet w d b n
           | Some duration -> run_fleet_live w d b duration sample srv jl exp)
@@ -637,10 +646,10 @@ let rpc_cmd =
 let run_workload ~iterations ~with_fault =
   let w = Palladium.boot () in
   let app = Palladium.create_backend_app w ~name:"cli" in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  for _ = 1 to max 1 iterations do
-    ignore (Pbackend.call app ~prepare ~arg:0)
+  (* the warm-up is the first of the [max 1 iterations] calls *)
+  let call = Workload.warm_null_call app in
+  for _ = 2 to iterations do
+    ignore (call ())
   done;
   if with_fault then begin
     (* an extension store to hidden application memory: SIGSEGV path *)
@@ -696,9 +705,7 @@ let run_trace iterations with_fault capacity json filter =
         (String.concat "|" trace_kinds);
       exit 2
   | _ -> ());
-  if capacity < 1 then (
-    Printf.eprintf "palladium: --capacity must be >= 1 (got %d)\n" capacity;
-    exit 2);
+  usage_unless (capacity >= 1) "--capacity must be >= 1 (got %d)" capacity;
   Obs.Trace.set_capacity capacity;
   Obs.Trace.set_enabled true;
   run_workload ~iterations ~with_fault;

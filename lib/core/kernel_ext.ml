@@ -59,6 +59,7 @@ type t = {
   mutable dead : bool;
   mutable aborts : int;
   mutable invocations : int;
+      (* per module, several per kernel: no sink counter splits them *)
 }
 
 let page_size = X86.Phys_mem.page_size

@@ -88,7 +88,9 @@ type app = {
   mutable stub_cursor : int;
   mutable return_gate : int; (* seg: encoded AppCallGate selector *)
   mutable time_limit : int;
-  mutable calls : int; (* statistics *)
+  mutable calls : int;
+      (* per app, several per world, so the sink's core.protected_calls
+         cannot stand in *)
 }
 
 (* What differs between the backends; everything else is the driver's. *)

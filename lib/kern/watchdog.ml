@@ -16,18 +16,15 @@ exception Expired of expiry
 
 type arm = { start_cycles : int; limit_cycles : int }
 
-type t = {
-  mutable armed : arm option;
-  mutable tick_instrs : int;
-  mutable expirations : int;
-}
+type t = { mutable armed : arm option; mutable tick_instrs : int }
 
+(* Expiries are counted only here, in the current sink. *)
 let c_expirations = Obs.Counters.counter "kern.watchdog.expirations"
 
 (* System-administrator parameter: default invocation budget. *)
 let default_limit_cycles = 2_000_000 (* 10 ms at 200 MHz *)
 
-let create ?(tick_instrs = 64) () = { armed = None; tick_instrs; expirations = 0 }
+let create ?(tick_instrs = 64) () = { armed = None; tick_instrs }
 
 let tick_instrs t = t.tick_instrs
 
@@ -38,8 +35,6 @@ let disarm t = t.armed <- None
 
 let is_armed t = t.armed <> None
 
-let expirations t = t.expirations
-
 (* Timer-tick body.  Raises {!Expired} when the armed budget has been
    exceeded. *)
 let check t ~now =
@@ -48,7 +43,6 @@ let check t ~now =
   | Some { start_cycles; limit_cycles } ->
       let used = now - start_cycles in
       if used > limit_cycles then begin
-        t.expirations <- t.expirations + 1;
         Obs.Counters.incr c_expirations;
         if Obs.Trace.on () then
           Obs.Trace.emit ~cycles:now

@@ -22,8 +22,6 @@ val disarm : t -> unit
 
 val is_armed : t -> bool
 
-val expirations : t -> int
-
 val check : t -> now:int -> unit
 (** Timer-tick body; raises {!Expired} when the armed budget is
     exceeded. *)

@@ -10,12 +10,9 @@
 
 type sym_kind = Func | Data
 
-type env = {
-  globals : (string, int * sym_kind) Hashtbl.t;
-  mutable load_count : int;
-}
+type env = { globals : (string, int * sym_kind) Hashtbl.t }
 
-let create_env () = { globals = Hashtbl.create 64; load_count = 0 }
+let create_env () = { globals = Hashtbl.create 64 }
 
 let define env name addr kind = Hashtbl.replace env.globals name (addr, kind)
 
@@ -88,7 +85,6 @@ let dlopen ?(placement = shared_library) ~(kernel : Kernel.t) ~(task : Task.t)
               ~allowed_far:(fun _ -> true)
               ~cost_params:(Cpu.params (Kernel.cpu kernel))
               ~name:image.Image.name image.Image.text)));
-  env.load_count <- env.load_count + 1;
   let asp = task.Task.asp in
   let n_imports = List.length image.Image.imports in
   (* Region sizes. *)

@@ -11,15 +11,15 @@
    happen on every far transfer and eager clearing would defeat the
    cache.
 
-   Statistics are kept twice.  The instance-local fields feed
-   [Bexec.stats] (per-cache, resettable, cheap).  The same events are
-   also published as process-wide [bcache.*] Obs counters so the
-   engine's warm-up curve is visible to the live telemetry layer
-   (Collector sampling, /metrics, BENCH_timeline.json).  These are
-   *engine meta-counters*, not architectural events: the interpreter
-   never bumps them, so the interp-vs-blocks differential oracle in
-   test_fastpath filters the [bcache.] prefix out of its counter
-   snapshots before comparing. *)
+   Every lookup, chained transfer, translation and invalidation is
+   counted once, in the [bcache.*] counters of the current sink; the
+   cache keeps no tallies of its own.  A lookup is a [bcache.hit], a
+   [bcache.miss] or (through a memoized link, no table probe) a
+   [bcache.chain], so lookups = hit + miss + chain and hits = hit +
+   chain.  These are *engine meta-counters*, not architectural events:
+   the interpreter never bumps them, so the interp-vs-blocks
+   differential oracle in test_fastpath filters the [bcache.] prefix
+   out of its counter snapshots before comparing. *)
 
 let c_hit =
   Obs.Counters.counter ~help:"Basic-block cache lookups that hit" "bcache.hit"
@@ -47,39 +47,23 @@ type 'a t = {
   table : (int, 'a) Hashtbl.t;
   mutable code_gen : int;
   mutable cpu_epoch : int;
-  mutable lookups : int;
-  mutable hits : int;
-  mutable invalidations : int;
 }
 
-let create () =
-  {
-    table = Hashtbl.create 1024;
-    code_gen = -1;
-    cpu_epoch = -1;
-    lookups = 0;
-    hits = 0;
-    invalidations = 0;
-  }
+let create () = { table = Hashtbl.create 1024; code_gen = -1; cpu_epoch = -1 }
 
 (* Drop all entries if the code store or the CPU's translation epoch
    moved since the cache was last filled. *)
 let validate t ~code_gen ~cpu_epoch =
   if t.code_gen <> code_gen || t.cpu_epoch <> cpu_epoch then begin
-    if Hashtbl.length t.table > 0 then begin
-      t.invalidations <- t.invalidations + 1;
-      Obs.Counters.incr c_invalidate
-    end;
+    if Hashtbl.length t.table > 0 then Obs.Counters.incr c_invalidate;
     Hashtbl.reset t.table;
     t.code_gen <- code_gen;
     t.cpu_epoch <- cpu_epoch
   end
 
 let find t key =
-  t.lookups <- t.lookups + 1;
   match Hashtbl.find_opt t.table key with
   | Some _ as e ->
-      t.hits <- t.hits + 1;
       Obs.Counters.incr c_hit;
       e
   | None ->
@@ -87,13 +71,9 @@ let find t key =
       None
 
 (* [n] block-to-block chained transfers resolved through memoized
-   links (no table probe); each counts as a lookup that hit, keeping
-   the hit-rate statistics meaningful under chaining.  Batched: the
+   links (no table probe); each is a lookup that hit.  Batched: the
    engine tallies locally and credits once per dispatch. *)
-let note_hits t n =
-  t.lookups <- t.lookups + n;
-  t.hits <- t.hits + n;
-  Obs.Counters.add c_chain n
+let note_hits n = Obs.Counters.add c_chain n
 
 let add t key v =
   Obs.Counters.incr c_translate;
@@ -102,25 +82,7 @@ let add t key v =
 let mem t key = Hashtbl.mem t.table key
 
 let clear t =
-  if Hashtbl.length t.table > 0 then begin
-    t.invalidations <- t.invalidations + 1;
-    Obs.Counters.incr c_invalidate
-  end;
+  if Hashtbl.length t.table > 0 then Obs.Counters.incr c_invalidate;
   Hashtbl.reset t.table
 
 let size t = Hashtbl.length t.table
-
-type stats = {
-  bc_blocks : int;
-  bc_lookups : int;
-  bc_hits : int;
-  bc_invalidations : int;
-}
-
-let stats t =
-  {
-    bc_blocks = Hashtbl.length t.table;
-    bc_lookups = t.lookups;
-    bc_hits = t.hits;
-    bc_invalidations = t.invalidations;
-  }

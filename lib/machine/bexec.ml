@@ -24,7 +24,7 @@
      the slow path by construction;
 
    - probing the TLB with the counter-free {!X86.Tlb.peek} and
-     batching the hit statistics ({!X86.Tlb.note_hits}); any miss or
+     batching the hit counts ({!X86.Tlb.note_hits}); any miss or
      privilege mismatch falls back to {!Cpu.fetch_translate}, the
      slow path's fetch translation (counters, walk charge, page
      fault), after a flush.  Across a run of consecutive pure slots on
@@ -544,7 +544,7 @@ let exec_chain bx t (cs : Seg.loaded) b0 fuel =
       pending_instrs := 0
     end;
     if !pending_hits <> 0 then begin
-      X86.Tlb.note_hits tlb !pending_hits;
+      X86.Tlb.note_hits !pending_hits;
       pending_hits := 0
     end
   in
@@ -556,7 +556,7 @@ let exec_chain bx t (cs : Seg.loaded) b0 fuel =
   let finish () =
     flush ();
     if not observed then Cpu.set_tick_left t !tick_rem;
-    if !link_hits <> 0 then Bcache.note_hits bx.cache !link_hits
+    if !link_hits <> 0 then Bcache.note_hits !link_hits
   in
   try
     let cur = ref b0 in
@@ -753,7 +753,7 @@ let attach cpu =
 
 let cpu t = t.cpu
 
-let stats t = Bcache.stats t.cache
+let cached_blocks t = Bcache.size t.cache
 
 let clear t = Bcache.clear t.cache
 

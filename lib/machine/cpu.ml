@@ -65,6 +65,8 @@ type t = {
   mutable view : X86.Desc_table.view;
   idt : X86.Desc_table.t;
   mutable tss : Tss.t;
+  (* architectural state (the time-stamp and retired-instruction
+     counts), not tallies: the cycle model reads and charges them *)
   mutable cycles : int;
   mutable instructions : int;
   mutable halted : bool;
@@ -72,7 +74,6 @@ type t = {
   handlers : (string, t -> unit) Hashtbl.t;
   mutable on_fault : (t -> F.t -> fault_action) option;
   mutable on_instr : (t -> unit) option;
-  mutable fault_count : int;
   trace : (int * Instr.t) Obs.Ring.t; (* (eip, instruction) *)
   mutable tracing : bool;
   (* block-engine hooks: [block_dispatch] (installed by Bexec.attach)
@@ -130,7 +131,6 @@ let create ~mmu ~code ~view ~idt ~tss ?(params = Cycles.pentium) () =
     handlers = Hashtbl.create 16;
     on_fault = None;
     on_instr = None;
-    fault_count = 0;
     trace = Obs.Ring.create trace_capacity;
     tracing = false;
     engine = Interp;
@@ -190,8 +190,6 @@ let charge t n = t.cycles <- t.cycles + n
 let cycles t = t.cycles
 
 let instructions t = t.instructions
-
-let fault_count t = t.fault_count
 
 let cpl t = Seg.cpl_of_code t.cs
 
@@ -913,7 +911,6 @@ let run ?(max_instrs = 10_000_000) t =
              eats a slot from [max_instrs] — both engines agree on
              the Max_instructions boundary *)
           let consumed = t.dispatch_consumed in
-          t.fault_count <- t.fault_count + 1;
           Obs.Counters.incr c_faults;
           if Obs.Trace.on () then
             Obs.Trace.emit ~cycles:t.cycles

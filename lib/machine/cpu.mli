@@ -34,8 +34,6 @@ val charge : t -> int -> unit
 
 val instructions : t -> int
 
-val fault_count : t -> int
-
 val cpl : t -> X86.Privilege.ring
 
 val get_reg : t -> Reg.t -> int

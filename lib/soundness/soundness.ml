@@ -375,10 +375,16 @@ let engine_name = function Cpu.Interp -> "interp" | Cpu.Blocks -> "blocks"
    the memory-system surcharges the MMU levied for page walks.  The
    static WCET prices the architecture only (the loaders add
    [Vcost.walk_surcharge] separately), so the dynamic side must strip
-   walks before the comparison is meaningful. *)
+   walks before the comparison is meaningful.  Walks are read as a
+   delta of the sink's page-walk counter: the run is the only world
+   executing on this domain between the two reads. *)
+let c_walks = Obs.Counters.counter "x86.mmu.page_walks"
+
+let walk_count () = Obs.Counters.value c_walks
+
 let arch_cycles cpu ~cycles0 ~walks0 =
   let p = Cpu.params cpu in
-  let walks = X86.Mmu.page_walks (Cpu.mmu cpu) - walks0 in
+  let walks = walk_count () - walks0 in
   Cpu.cycles cpu - cycles0 - (walks * p.Cycles.tlb_walk * X86.Paging.walk_length)
 
 let execute ?bounds engine (asm : Asm.assembled) ~static ~elide ~fuel =
@@ -403,7 +409,7 @@ let execute ?bounds engine (asm : Asm.assembled) ~static ~elide ~fuel =
      every counted walk uniformly. *)
   let read_stack_top c =
     let p = Cpu.params c in
-    let c0 = Cpu.cycles c and w0 = X86.Mmu.page_walks (Cpu.mmu c) in
+    let c0 = Cpu.cycles c and w0 = walk_count () in
     let r =
       match
         Cpu.read_mem c (Cpu.seg_reg c Reg.SS)
@@ -413,7 +419,7 @@ let execute ?bounds engine (asm : Asm.assembled) ~static ~elide ~fuel =
       | exception _ -> None
     in
     let walked =
-      (X86.Mmu.page_walks (Cpu.mmu c) - w0)
+      (walk_count () - w0)
       * p.Cycles.tlb_walk * X86.Paging.walk_length
     in
     Cpu.charge c (c0 + walked - Cpu.cycles c);
@@ -489,7 +495,7 @@ let execute ?bounds engine (asm : Asm.assembled) ~static ~elide ~fuel =
   Cpu.set_on_instr cpu (Some hook);
   Cpu.set_on_fault cpu (Some (fun _ _ -> Cpu.Fault_stop));
   let cycles0 = Cpu.cycles cpu in
-  let walks0 = X86.Mmu.page_walks (Cpu.mmu cpu) in
+  let walks0 = walk_count () in
   let stop = Cpu.run ~max_instrs:fuel cpu in
   (match (!pending, stop) with
   | Some m, (Cpu.Halted | Cpu.Max_instructions) ->
@@ -616,7 +622,7 @@ let measure ?(engine = Cpu.Interp) ?(fuel = 1_000_000)
          if esp < !min_esp then min_esp := esp));
   Cpu.set_on_fault cpu (Some (fun _ _ -> Cpu.Fault_stop));
   let cycles0 = Cpu.cycles cpu in
-  let walks0 = X86.Mmu.page_walks (Cpu.mmu cpu) in
+  let walks0 = walk_count () in
   let stop = Cpu.run ~max_instrs:fuel cpu in
   {
     x_stop = stop;

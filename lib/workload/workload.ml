@@ -24,6 +24,16 @@ let call_overhead marks =
   let setup, _, body, return, _, done_ = call_bounds marks in
   done_ - setup - (return - body)
 
+(* One warm null call: load the null extension into [app], resolve
+   [null_fn], make one warm-up call (TLB and pages) and return the
+   call. *)
+let warm_null_call app =
+  let ext = Pbackend.load app Ulib.null_image in
+  let prepare = Pbackend.resolve app ext "null_fn" in
+  let call () = Pbackend.call app ~prepare ~arg:1 in
+  ignore (marks_of_call app call);
+  call
+
 type world = {
   fw_batches : int;
   fw_calls : int;
@@ -53,10 +63,7 @@ let fleet_world ?collectors ?(bytes = 2048) ~until ~calls ~requests i =
   let h_req = Obs.Histogram.get_or_create "fleet.request_usec" in
   let w = Palladium.boot () in
   let app = Palladium.create_backend_app w ~name:(Printf.sprintf "fleet%d" i) in
-  let ext = Pbackend.load app Ulib.null_image in
-  let prepare = Pbackend.resolve app ext "null_fn" in
-  let call () = Pbackend.call app ~prepare ~arg:1 in
-  ignore (marks_of_call app call) (* warm TLB and pages *);
+  let call = warm_null_call app in
   let cpu = Palladium.cpu w in
   let collector = Option.map (fun cs -> cs.(i)) collectors in
   Option.iter (fun c -> Telemetry.attach c cpu) collector;

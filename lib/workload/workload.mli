@@ -19,6 +19,13 @@ val call_overhead : (string * int) list -> int
 (** The Table 1 total of one call: every phase but the extension
     body. *)
 
+val warm_null_call :
+  Pbackend.app -> unit -> (int * int, Pbackend.call_error) result
+(** Load [Ulib.null_image] into the application, resolve [null_fn] and
+    make one warm-up call (TLB and pages); return the call, which
+    passes 1 and yields {!Pbackend.call}'s result.  Fails when the
+    warm-up call fails. *)
+
 (** {2 The fleet world} *)
 
 type world = {
@@ -36,9 +43,9 @@ val fleet_world :
   requests:int ->
   int ->
   world
-(** [fleet_world ~until ~calls ~requests i] boots world [i], loads
-    [Ulib.null_image] into a backend application, makes one warm-up
-    call and (with [?collectors]) attaches [collectors.(i)] to the
+(** [fleet_world ~until ~calls ~requests i] boots world [i], makes a
+    {!warm_null_call} in a backend application and (with
+    [?collectors]) attaches [collectors.(i)] to the
     world CPU.  It then runs batches until [until batches_done]
     holds, checked after each batch, so at least one batch runs.  A
     batch makes [calls + i mod 3] protected null calls, recording

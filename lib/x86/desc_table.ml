@@ -7,7 +7,8 @@ type t = {
   name : string;
   is_gdt : bool;
   mutable entries : Descriptor.t option array;
-  mutable writes : int; (* statistics: descriptor installs *)
+  mutable writes : int;
+      (* descriptor installs: the audit's change stamp, not a statistic *)
 }
 
 let create ?(capacity = 32) ~name ~is_gdt () =

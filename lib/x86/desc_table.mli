@@ -37,6 +37,9 @@ val lookup : t -> Selector.t -> Descriptor.t
     segments. *)
 
 val writes : t -> int
+(** Descriptor installs so far.  A change stamp, not a statistic:
+    [Paudit.generation] sums it over the tables to tell whether the
+    protection state moved since the last audit. *)
 
 val iter : t -> (int -> Descriptor.t -> unit) -> unit
 

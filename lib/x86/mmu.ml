@@ -18,26 +18,11 @@ type t = {
      permits everything, so worlds that never touch keys behave
      exactly as before. *)
   mutable pkru : int;
-  mutable walks : int;
-  mutable f_not_present : int;
-  mutable f_privilege : int;
-  mutable f_readonly : int;
-  mutable f_key : int;
 }
 
 let create ?tlb phys ~dir =
   let tlb = match tlb with Some t -> t | None -> Tlb.create () in
-  {
-    phys;
-    tlb;
-    dir;
-    pkru = 0;
-    walks = 0;
-    f_not_present = 0;
-    f_privilege = 0;
-    f_readonly = 0;
-    f_key = 0;
-  }
+  { phys; tlb; dir; pkru = 0 }
 
 let phys t = t.phys
 
@@ -66,35 +51,9 @@ let key_ad k = 1 lsl (2 * k)
 
 let key_wd k = 1 lsl ((2 * k) + 1)
 
-let page_walks t = t.walks
-
-(* Per-instance event tallies (walks plus page faults broken down by
-   kind), mirrored into the x86.mmu.* counters of the owning world's
-   sink — the sink current while this MMU's world executes. *)
-type stats = {
-  mmu_walks : int;
-  mmu_fault_not_present : int;
-  mmu_fault_privilege : int;
-  mmu_fault_readonly : int;
-  mmu_fault_key : int;
-}
-
-let stats t =
-  {
-    mmu_walks = t.walks;
-    mmu_fault_not_present = t.f_not_present;
-    mmu_fault_privilege = t.f_privilege;
-    mmu_fault_readonly = t.f_readonly;
-    mmu_fault_key = t.f_key;
-  }
-
-let reset_stats t =
-  t.walks <- 0;
-  t.f_not_present <- 0;
-  t.f_privilege <- 0;
-  t.f_readonly <- 0;
-  t.f_key <- 0
-
+(* Page walks and page faults by kind are counted once, in the
+   x86.mmu.* counters of the sink current while this MMU's world
+   executes. *)
 let c_walks = Obs.Counters.counter "x86.mmu.page_walks"
 
 let c_fault_not_present = Obs.Counters.counter "x86.mmu.fault.not_present"
@@ -103,26 +62,10 @@ let c_fault_privilege = Obs.Counters.counter "x86.mmu.fault.privilege"
 
 let c_fault_readonly = Obs.Counters.counter "x86.mmu.fault.readonly"
 
-let fault_not_present t f =
-  t.f_not_present <- t.f_not_present + 1;
-  Obs.Counters.incr c_fault_not_present;
-  Fault.raise_ f
-
-let fault_privilege t f =
-  t.f_privilege <- t.f_privilege + 1;
-  Obs.Counters.incr c_fault_privilege;
-  Fault.raise_ f
-
-let fault_readonly t f =
-  t.f_readonly <- t.f_readonly + 1;
-  Obs.Counters.incr c_fault_readonly;
-  Fault.raise_ f
-
 let c_fault_key = Obs.Counters.counter "x86.mmu.fault.key"
 
-let fault_key t f =
-  t.f_key <- t.f_key + 1;
-  Obs.Counters.incr c_fault_key;
+let fault c f =
+  Obs.Counters.incr c;
   Fault.raise_ f
 
 (* True when the access runs with user-mode page privileges.  Only
@@ -142,18 +85,18 @@ let check_key t ~(access : Fault.access) ~linear ~user ~key =
     | Fault.Execute -> ()
     | Fault.Read ->
         if t.pkru land key_ad key <> 0 then
-          fault_key t (Fault.Page_key { linear; access; key })
+          fault c_fault_key (Fault.Page_key { linear; access; key })
     | Fault.Write ->
         if t.pkru land (key_ad key lor key_wd key) <> 0 then
-          fault_key t (Fault.Page_key { linear; access; key })
+          fault c_fault_key (Fault.Page_key { linear; access; key })
 
 let check_pte t ~cpl ~(access : Fault.access) ~linear (pte : Paging.pte) =
   if user_mode cpl && not pte.Paging.user then
-    fault_privilege t (Fault.Page_privilege { linear; access; cpl });
+    fault c_fault_privilege (Fault.Page_privilege { linear; access; cpl });
   (match access with
   | Fault.Write ->
       if (not pte.Paging.writable) && user_mode cpl then
-        fault_readonly t (Fault.Page_readonly { linear })
+        fault c_fault_readonly (Fault.Page_readonly { linear })
   | Fault.Read | Fault.Execute -> ());
   check_key t ~access ~linear ~user:pte.Paging.user ~key:pte.Paging.key
 
@@ -165,7 +108,7 @@ let linear_valid linear = linear lsr 32 = 0
 
 let translate t ~cpl ~(access : Fault.access) linear =
   if not (linear_valid linear) then
-    fault_not_present t (Fault.Page_not_present { linear; access });
+    fault c_fault_not_present (Fault.Page_not_present { linear; access });
   let vpn = Paging.vpn_of_linear linear in
   let off = linear land Phys_mem.page_mask in
   match Tlb.lookup t.tlb ~vpn with
@@ -175,20 +118,19 @@ let translate t ~cpl ~(access : Fault.access) linear =
          performed on hits too (as the hardware does), without an
          extra page walk. *)
       if user_mode cpl && not e.Tlb.e_user then
-        fault_privilege t (Fault.Page_privilege { linear; access; cpl });
+        fault c_fault_privilege (Fault.Page_privilege { linear; access; cpl });
       (match access with
       | Fault.Write ->
           if (not e.Tlb.e_writable) && user_mode cpl then
-            fault_readonly t (Fault.Page_readonly { linear })
+            fault c_fault_readonly (Fault.Page_readonly { linear })
       | Fault.Read | Fault.Execute -> ());
       check_key t ~access ~linear ~user:e.Tlb.e_user ~key:e.Tlb.e_key;
       { phys_addr = Paging.linear_of_vpn e.Tlb.e_pfn lor off; walked = false }
   | None -> (
-      t.walks <- t.walks + 1;
       Obs.Counters.incr c_walks;
       match Paging.lookup t.dir ~vpn with
       | None ->
-          fault_not_present t (Fault.Page_not_present { linear; access })
+          fault c_fault_not_present (Fault.Page_not_present { linear; access })
       | Some pte ->
           check_pte t ~cpl ~access ~linear pte;
           pte.Paging.accessed <- true;

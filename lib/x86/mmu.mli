@@ -1,5 +1,10 @@
 (** Linear-to-physical translation with page-level protection checks
-    (TLB + page walk). *)
+    (TLB + page walk).
+
+    An MMU keeps no event tallies.  Each page walk and each page fault
+    is counted once, in the current sink's [x86.mmu.page_walks] and
+    [x86.mmu.fault.{not_present,privilege,readonly,key}] counters; a
+    reader takes deltas of those (see {!Obs.Counters}). *)
 
 type t
 
@@ -30,24 +35,6 @@ val key_ad : int -> int
 
 val key_wd : int -> int
 (** Write-disable PKRU mask for a key. *)
-
-val page_walks : t -> int
-
-(** Per-instance event tallies — page walks and page faults broken
-    down by kind.  These mirror the [x86.mmu.*] counters published
-    into the owning world's sink, but survive sink swaps and let a
-    fleet attribute translation traffic to an individual MMU. *)
-type stats = {
-  mmu_walks : int;
-  mmu_fault_not_present : int;
-  mmu_fault_privilege : int;
-  mmu_fault_readonly : int;
-  mmu_fault_key : int;
-}
-
-val stats : t -> stats
-
-val reset_stats : t -> unit
 
 val user_mode : Privilege.ring -> bool
 (** Only ring 3 runs with user-mode page privileges. *)

@@ -14,8 +14,6 @@ type t = {
   frames : (int, Bytes.t) Hashtbl.t; (* frame number -> 4K backing *)
   mutable next_frame : int;
   mutable allocated : int;
-  mutable reads : int;
-  mutable writes : int;
 }
 
 let c_reads = Obs.Counters.counter "x86.phys.reads"
@@ -31,8 +29,6 @@ let create ?(first_frame = 0x100) () =
     frames = Hashtbl.create 1024;
     next_frame = first_frame;
     allocated = 0;
-    reads = 0;
-    writes = 0;
   }
 
 let frame_count t = t.allocated
@@ -64,13 +60,11 @@ let backing t pfn =
 let split addr = (addr lsr page_shift, addr land page_mask)
 
 let read_u8 t addr =
-  t.reads <- t.reads + 1;
   Obs.Counters.incr c_reads;
   let pfn, off = split addr in
   Char.code (Bytes.get (backing t pfn) off)
 
 let write_u8 t addr v =
-  t.writes <- t.writes + 1;
   Obs.Counters.incr c_writes;
   let pfn, off = split addr in
   Bytes.set (backing t pfn) off (Char.chr (v land 0xFF))
@@ -108,7 +102,6 @@ let chunked addr len f =
   done
 
 let read_bytes t addr len =
-  t.reads <- t.reads + len;
   Obs.Counters.add c_reads len;
   let out = Bytes.create len in
   chunked addr len (fun ~dst_off ~pfn ~off ~chunk ->
@@ -117,14 +110,8 @@ let read_bytes t addr len =
 
 let write_bytes t addr src =
   let len = Bytes.length src in
-  t.writes <- t.writes + len;
   Obs.Counters.add c_writes len;
   chunked addr len (fun ~dst_off ~pfn ~off ~chunk ->
       Bytes.blit src dst_off (backing t pfn) off chunk)
 
 let write_string t addr s = write_bytes t addr (Bytes.of_string s)
-
-type stats = { stat_reads : int; stat_writes : int; stat_frames : int }
-
-let stats t =
-  { stat_reads = t.reads; stat_writes = t.writes; stat_frames = t.allocated }

@@ -38,7 +38,3 @@ val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
 
 val write_string : t -> int -> string -> unit
-
-type stats = { stat_reads : int; stat_writes : int; stat_frames : int }
-
-val stats : t -> stats

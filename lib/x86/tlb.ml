@@ -3,7 +3,11 @@
    the low bits of the VPN with one victim slot per set, which is close
    enough for cycle accounting.  The TLB is flushed whenever CR3 is
    loaded (task switch), which is where the paper's IPC baselines pay
-   their page-table-switch cost. *)
+   their page-table-switch cost.
+
+   Hits, misses and flushes are counted once, in the x86.tlb.*
+   counters of the sink current while the owning world runs; the TLB
+   itself keeps no tallies. *)
 
 type entry = {
   e_vpn : int;
@@ -16,17 +20,8 @@ type entry = {
          access time, never cached *)
 }
 
-type t = {
-  slots : entry option array;
-  sets : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable flushes : int;
-}
+type t = { slots : entry option array; sets : int }
 
-(* Sink-routed event counters (the per-instance [stats] record remains
-   the per-TLB view; these aggregate across every TLB publishing into
-   the same world sink). *)
 let c_hits = Obs.Counters.counter "x86.tlb.hits"
 
 let c_misses = Obs.Counters.counter "x86.tlb.misses"
@@ -35,7 +30,7 @@ let c_flushes = Obs.Counters.counter "x86.tlb.flushes"
 
 let create ?(sets = 64) () =
   if sets <= 0 then invalid_arg "Tlb.create: sets";
-  { slots = Array.make sets None; sets; hits = 0; misses = 0; flushes = 0 }
+  { slots = Array.make sets None; sets }
 
 (* Mask the sign bit before reducing: a corrupt (negative) VPN must
    index like any other bad VPN and miss, not crash the simulator. *)
@@ -44,29 +39,23 @@ let slot t vpn = (vpn land max_int) mod t.sets
 let lookup t ~vpn =
   match t.slots.(slot t vpn) with
   | Some e when e.e_vpn = vpn ->
-      t.hits <- t.hits + 1;
       Obs.Counters.incr c_hits;
       Some e
   | Some _ | None ->
-      t.misses <- t.misses + 1;
       Obs.Counters.incr c_misses;
       None
 
 (* Counter-free probe for the block engine's fast fetch path: the
    caller batches the hits it observes (note_hits) and falls back to
    the counting [lookup]-based pipeline on a miss, so the hit/miss
-   tallies stay exactly what a per-instruction [lookup] would have
+   counts stay exactly what a per-instruction [lookup] would have
    produced. *)
 let peek t ~vpn =
   match t.slots.(slot t vpn) with
   | Some e when e.e_vpn = vpn -> Some e
   | Some _ | None -> None
 
-let note_hits t n =
-  if n > 0 then begin
-    t.hits <- t.hits + n;
-    Obs.Counters.add c_hits n
-  end
+let note_hits n = if n > 0 then Obs.Counters.add c_hits n
 
 let insert ?(key = 0) t ~vpn ~pfn ~user ~writable =
   t.slots.(slot t vpn) <-
@@ -79,14 +68,4 @@ let invalidate t ~vpn =
 
 let flush t =
   Array.fill t.slots 0 t.sets None;
-  t.flushes <- t.flushes + 1;
   Obs.Counters.incr c_flushes
-
-type stats = { tlb_hits : int; tlb_misses : int; tlb_flushes : int }
-
-let stats t = { tlb_hits = t.hits; tlb_misses = t.misses; tlb_flushes = t.flushes }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

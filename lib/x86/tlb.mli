@@ -1,4 +1,6 @@
-(** Translation lookaside buffer, flushed on CR3 load. *)
+(** Translation lookaside buffer, flushed on CR3 load.  Hits, misses
+    and flushes are counted only in the current sink's [x86.tlb.*]
+    counters. *)
 
 type entry = {
   e_vpn : int;
@@ -15,13 +17,13 @@ val create : ?sets:int -> unit -> t
 val lookup : t -> vpn:int -> entry option
 
 val peek : t -> vpn:int -> entry option
-(** Like {!lookup} but without touching the hit/miss statistics: used
-    by batching fast paths that account their hits with {!note_hits}
-    and re-run the counting pipeline on a miss. *)
+(** Like {!lookup} but without counting a hit or miss: used by
+    batching fast paths that account their hits with {!note_hits} and
+    re-run the counting pipeline on a miss. *)
 
-val note_hits : t -> int -> unit
-(** Credit [n] batched hits to the statistics, exactly as [n]
-    successful {!lookup} calls would have. *)
+val note_hits : int -> unit
+(** Count [n] batched hits, exactly as [n] successful {!lookup} calls
+    would have. *)
 
 val insert :
   ?key:int -> t -> vpn:int -> pfn:int -> user:bool -> writable:bool -> unit
@@ -29,9 +31,3 @@ val insert :
 val invalidate : t -> vpn:int -> unit
 
 val flush : t -> unit
-
-type stats = { tlb_hits : int; tlb_misses : int; tlb_flushes : int }
-
-val stats : t -> stats
-
-val reset_stats : t -> unit

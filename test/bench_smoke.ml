@@ -152,35 +152,49 @@ let () =
   (match J.to_int (mem "total" (mem "accesses" body)) with
   | Some n when n > 0 -> ()
   | _ -> fail "soundness: no accesses classified");
-  (* the fleet runner: a 4-domain parallel sweep must reproduce the
+  (* the fleet runner: a parallel sweep of 4 worlds must reproduce the
      serial per-world results bit-for-bit, and the merged histogram
-     must account for every request *)
-  let outcome = Bench_runs.parallel ~json_dir ~domains:4 () in
-  validate "parallel";
-  if not outcome.Bench_runs.par_deterministic then
-    fail "parallel: per-world results diverged from the serial run";
-  if outcome.Bench_runs.par_merged_requests <> outcome.Bench_runs.par_serial_requests
-  then
-    fail "parallel: merged request count %d does not match serial total %d"
+     must account for every request.  The speedup is a wall-clock
+     ratio, so its measurement runs at most one domain per core (more
+     only measures domain switching), holds the lock every suite
+     shares (test/dune), and keeps the best of [speedup_sweeps]
+     sweeps, each of which must pass the deterministic checks. *)
+  let speedup_sweeps = 5 in
+  let domains = min 4 (Domain.recommended_domain_count ()) in
+  let sweep () =
+    let outcome = Bench_runs.parallel ~json_dir ~domains ~worlds:4 () in
+    validate "parallel";
+    if not outcome.Bench_runs.par_deterministic then
+      fail "parallel: per-world results diverged from the serial run";
+    if
       outcome.Bench_runs.par_merged_requests
-      outcome.Bench_runs.par_serial_requests;
-  let doc = load "parallel" in
-  (match mem "deterministic" doc with
-  | J.Bool true -> ()
-  | _ -> fail "parallel: artifact does not record determinism");
+      <> outcome.Bench_runs.par_serial_requests
+    then
+      fail "parallel: merged request count %d does not match serial total %d"
+        outcome.Bench_runs.par_merged_requests
+        outcome.Bench_runs.par_serial_requests;
+    let doc = load "parallel" in
+    (match mem "deterministic" doc with
+    | J.Bool true -> ()
+    | _ -> fail "parallel: artifact does not record determinism");
+    outcome.Bench_runs.par_speedup
+  in
+  let best_speedup =
+    List.fold_left max 0. (List.init speedup_sweeps (fun _ -> sweep ()))
+  in
   (* speedup is only meaningful with real cores; single-core runners
      pay pure domain-switch overhead.  A wall-clock floor miss is
      raised only after every deterministic check below has run. *)
   let speedup_failure =
-    if Domain.recommended_domain_count () < 2 then (
+    if domains < 2 then (
       Printf.printf
         "bench-smoke parallel: single core, skipping speedup assertion\n%!";
       None)
-    else if outcome.Bench_runs.par_speedup < 1.3 then (
+    else if best_speedup < 1.3 then (
       let msg =
-        Printf.sprintf "parallel: %d-core speedup %.2fx below 1.3x threshold"
-          (Domain.recommended_domain_count ())
-          outcome.Bench_runs.par_speedup
+        Printf.sprintf
+          "parallel: %d-domain speedup %.2fx (best of %d) below 1.3x threshold"
+          domains best_speedup speedup_sweeps
       in
       Printf.printf "bench-smoke %s (raised after the remaining checks)\n%!"
         msg;

@@ -258,12 +258,11 @@ let test_rogue_wrpkru_flagged_by_audit () =
 let test_mpk_transfer_cheaper () =
   let cost backend =
     let w = Palladium.boot ~backend () in
-    let app = Palladium.create_backend_app w ~name:"cost" in
-    let ext = Pbackend.load app Ulib.null_image in
-    let prepare = Pbackend.resolve app ext "null_fn" in
-    ignore (Pbackend.call app ~prepare ~arg:0);
+    let call =
+      Workload.warm_null_call (Palladium.create_backend_app w ~name:"cost")
+    in
     let c =
-      match Pbackend.call app ~prepare ~arg:0 with
+      match call () with
       | Ok (_, cycles) -> cycles
       | Error e -> Alcotest.failf "null call: %a" Pbackend.pp_call_error e
     in
@@ -332,14 +331,12 @@ let test_logs_stay_bounded () =
       let w = Palladium.boot ~backend () in
       let app = Palladium.create_backend_app w ~name:"bounded" in
       let cpu = Palladium.cpu w in
-      let ext = Pbackend.load app Ulib.null_image in
-      let prepare = Pbackend.resolve app ext "null_fn" in
+      let null_call = Workload.warm_null_call app in
       let call () =
-        match Pbackend.call app ~prepare ~arg:1 with
+        match null_call () with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "null call: %a" Pbackend.pp_call_error e
       in
-      call ();
       let calls = 100_000 in
       let seq0 = Cpu.mark_seq cpu in
       for _ = 1 to calls do

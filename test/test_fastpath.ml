@@ -2,8 +2,8 @@
    scenario runs twice in fresh, identical worlds — once under the
    interpreter, once under the block engine — and the full observable
    state must be bit-identical: registers, EIP, flags, cycle totals,
-   instruction counts, fault counts, stop condition, marks, the
-   instruction trace and every Obs counter delta.
+   instruction counts, stop condition, marks, the instruction trace
+   and every Obs counter delta (faults among them).
 
    Also pins the interpreter-loop fixes that rode along with the
    engine: the bounded trace ring, retired-instruction fuel semantics
@@ -106,7 +106,6 @@ type obs = {
   o_flags : bool * bool * bool;
   o_cycles : int;
   o_instrs : int;
-  o_faults : int;
   o_halted : bool;
   o_marks : (string * int) list;
   o_mark_seq : int; (* every mark executed, not only the buffered window *)
@@ -142,7 +141,6 @@ let observe engine scenario =
         o_flags = (fl.Cpu.zf, fl.Cpu.cf, fl.Cpu.lt);
         o_cycles = Cpu.cycles w.cpu;
         o_instrs = Cpu.instructions w.cpu;
-        o_faults = Cpu.fault_count w.cpu;
         o_halted = Cpu.halted w.cpu;
         o_marks = Cpu.marks w.cpu;
         o_mark_seq = Cpu.mark_seq w.cpu;
@@ -160,7 +158,6 @@ let check_obs name (a : obs) (b : obs) =
   check_bool (name ^ ": halted") a.o_halted b.o_halted;
   check_int (name ^ ": cycles") a.o_cycles b.o_cycles;
   check_int (name ^ ": instructions") a.o_instrs b.o_instrs;
-  check_int (name ^ ": faults") a.o_faults b.o_faults;
   Alcotest.(check (list (pair string int))) (name ^ ": marks") a.o_marks b.o_marks;
   check_int (name ^ ": marks executed") a.o_mark_seq b.o_mark_seq;
   Alcotest.(check (list (pair int string))) (name ^ ": trace") a.o_trace b.o_trace;
@@ -706,6 +703,7 @@ let test_engine_of_string () =
     && Bexec.engine_to_string Cpu.Interp = "interp")
 
 let test_block_cache_populates () =
+  let since = Obs.Counters.snapshot () in
   let w = make_world Cpu.Blocks in
   ignore
     (load_at w ~org
@@ -720,10 +718,11 @@ let test_block_cache_populates () =
   (match Cpu.run w.cpu with
   | Cpu.Halted -> ()
   | s -> Alcotest.fail (stop_string s));
-  let st = Bexec.stats w.bx in
-  check_bool "blocks cached" true (st.Bcache.bc_blocks > 0);
-  check_bool "cache hits dominate" true
-    (st.Bcache.bc_hits > 90 && st.Bcache.bc_lookups > st.Bcache.bc_hits)
+  let d = Obs.Counters.delta ~since in
+  let n name = Option.value ~default:0 (List.assoc_opt name d) in
+  let hits = n "bcache.hit" + n "bcache.chain" in
+  check_bool "blocks cached" true (Bexec.cached_blocks w.bx > 0);
+  check_bool "cache hits dominate" true (hits > 90 && n "bcache.miss" > 0)
 
 let () =
   Alcotest.run "fastpath"

@@ -215,6 +215,8 @@ let test_exit_syscall () =
 
 let test_watchdog_expiry () =
   let wd = Watchdog.create ~tick_instrs:4 () in
+  let expirations = Obs.Counters.counter "kern.watchdog.expirations" in
+  let expired0 = Obs.Counters.value expirations in
   Watchdog.arm wd ~now:0 ~limit:100 ();
   check_bool "armed" true (Watchdog.is_armed wd);
   for now = 1 to 8 do
@@ -229,7 +231,7 @@ let test_watchdog_expiry () =
   | exception Watchdog.Expired e ->
       check_int "limit" 100 e.Watchdog.wd_limit;
       check_bool "disarmed after expiry" false (Watchdog.is_armed wd);
-      check_int "counted" 1 (Watchdog.expirations wd)
+      check_int "counted" 1 (Obs.Counters.value expirations - expired0)
 
 (* --- Page fault policy -------------------------------------------------------- *)
 
